@@ -9,7 +9,8 @@
 /// bit-identical to the serial oracle, the tuner must be deterministic
 /// under replay, charges must not depend on the modelled device count,
 /// and fault plans must drain the overlap window with bit-exact
-/// CPU-fallback results.
+/// CPU-fallback results. The pinned suite holds every PipelineMode's
+/// compress stage to constants recorded from the classic stage.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,11 +18,17 @@
 #include "core/ReductionPipeline.h"
 #include "fault/FaultInjector.h"
 #include "fault/FaultPlan.h"
+#include "hash/Fnv.h"
 #include "workload/VdbenchStream.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cinttypes>
+#include <cstdio>
+#include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -38,7 +45,7 @@ ByteVector makeStream(std::uint64_t Bytes, std::uint64_t Seed = 91) {
   return VdbenchStream(Config).generateAll();
 }
 
-PipelineConfig classicConfig(PipelineMode Mode) {
+PipelineConfig modeConfig(PipelineMode Mode) {
   PipelineConfig Config;
   Config.Mode = Mode;
   Config.Dedup.Index.BinBits = 8;
@@ -49,7 +56,7 @@ PipelineConfig classicConfig(PipelineMode Mode) {
 
 PipelineConfig backendConfig(backend::SplitMode Split, double Fraction = 1.0,
                              unsigned GpuDevices = 1) {
-  PipelineConfig Config = classicConfig(PipelineMode::CpuOnly);
+  PipelineConfig Config = modeConfig(PipelineMode::CpuOnly);
   Config.Backend.Enabled = true;
   Config.Backend.Split = Split;
   Config.Backend.Fraction = Fraction;
@@ -57,10 +64,20 @@ PipelineConfig backendConfig(backend::SplitMode Split, double Fraction = 1.0,
   return Config;
 }
 
+/// How a run feeds the pipeline: the first \p RawBytes of the stream go
+/// through writeRaw (the store-raw loop), the rest through write; an
+/// optional fault plan is attached for the whole run.
+struct RunShape {
+  std::uint64_t RawBytes = 0;
+  const char *FaultSpec = nullptr;
+};
+
 /// Everything two runs are diffed on.
 struct RunResult {
   StreamRecipe Recipe;
   std::uint64_t StoredBytes = 0;
+  /// FNV-1a over every stored block, in ascending location order.
+  std::uint64_t BlocksDigest = 0;
   ByteVector ReadBack;
   std::array<double, ResourceCount> BusyUs{};
   std::array<double, ResourceCount> SchedUs{};
@@ -70,9 +87,28 @@ struct RunResult {
   backend::SplitterStats Stats;
 };
 
-RunResult runOnce(const PipelineConfig &Config, const ByteVector &Data) {
+RunResult runOnce(const PipelineConfig &BaseConfig, const ByteVector &Data,
+                  const RunShape &Shape = RunShape()) {
+  PipelineConfig Config = BaseConfig;
+  std::unique_ptr<fault::FaultInjector> Injector;
+  if (Shape.FaultSpec) {
+    fault::FaultPlan Plan;
+    std::string Error;
+    EXPECT_TRUE(fault::parseFaultPlan(Shape.FaultSpec, Plan, Error)) << Error;
+    Injector = std::make_unique<fault::FaultInjector>(Plan);
+    Config.Faults = Injector.get();
+  }
   ReductionPipeline Pipeline(Platform::paper(), Config);
-  EXPECT_TRUE(Pipeline.write(ByteSpan(Data.data(), Data.size())).ok());
+  const std::size_t RawBytes =
+      static_cast<std::size_t>(std::min<std::uint64_t>(Shape.RawBytes,
+                                                        Data.size()));
+  if (RawBytes > 0) {
+    EXPECT_TRUE(Pipeline.writeRaw(ByteSpan(Data.data(), RawBytes)).ok());
+  }
+  EXPECT_TRUE(Pipeline
+                  .write(ByteSpan(Data.data() + RawBytes,
+                                  Data.size() - RawBytes))
+                  .ok());
   EXPECT_TRUE(Pipeline.finish().ok());
   RunResult Result;
   Result.Recipe = Pipeline.recipe();
@@ -88,11 +124,51 @@ RunResult runOnce(const PipelineConfig &Config, const ByteVector &Data) {
   EXPECT_EQ(Pipeline.scheduler().inFlight(), 0u);
   if (Pipeline.splitter())
     Result.Stats = Pipeline.splitter()->stats();
+  std::vector<std::uint64_t> Locations = Result.Recipe.ChunkLocations;
+  std::sort(Locations.begin(), Locations.end());
+  Locations.erase(std::unique(Locations.begin(), Locations.end()),
+                  Locations.end());
+  Result.BlocksDigest = FnvOffsetBasis;
+  for (const std::uint64_t Location : Locations)
+    if (const auto Block = Pipeline.store().encodedBlock(Location))
+      Result.BlocksDigest = fnv1a64(*Block, Result.BlocksDigest);
   const auto Restored = Pipeline.readBack();
   EXPECT_TRUE(Restored.has_value());
   if (Restored)
     Result.ReadBack = *Restored;
   return Result;
+}
+
+/// FNV-1a over the recipe's (location, size) pairs, in stream order.
+std::uint64_t recipeDigest(const StreamRecipe &Recipe) {
+  std::uint64_t Hash = FnvOffsetBasis;
+  for (std::size_t I = 0; I < Recipe.ChunkLocations.size(); ++I) {
+    std::uint8_t Entry[12];
+    storeLe64(Entry, Recipe.ChunkLocations[I]);
+    storeLe32(Entry + 8, Recipe.ChunkSizes[I]);
+    Hash = fnv1a64(ByteSpan(Entry, sizeof(Entry)), Hash);
+  }
+  return Hash;
+}
+
+/// The pinned fingerprint of a run: recipe and stored-block digests,
+/// stored bytes, every resource's busy and scheduled microseconds and
+/// the scheduler wall, doubles in hex-float so equality is bit-exact.
+std::string pinnedSummary(const RunResult &Run) {
+  char Buffer[128];
+  std::snprintf(Buffer, sizeof(Buffer),
+                "recipe=%016" PRIx64 " blocks=%016" PRIx64
+                " stored=%" PRIu64,
+                recipeDigest(Run.Recipe), Run.BlocksDigest, Run.StoredBytes);
+  std::string Out = Buffer;
+  for (unsigned R = 0; R < ResourceCount; ++R) {
+    std::snprintf(Buffer, sizeof(Buffer), " %s=%a/%a",
+                  resourceName(static_cast<Resource>(R)), Run.BusyUs[R],
+                  Run.SchedUs[R]);
+    Out += Buffer;
+  }
+  std::snprintf(Buffer, sizeof(Buffer), " wall=%a", Run.WallUs);
+  return Out + Buffer;
 }
 
 /// Results + recipes: the any-split-point bar.
@@ -105,10 +181,12 @@ void expectSameResults(const RunResult &Oracle, const RunResult &Candidate) {
 }
 
 /// Full identity: the {0,1} pass-through bar — everything above plus
-/// stored bytes, per-lane busy charges and the scheduled timeline.
+/// stored bytes and blocks, per-lane busy charges and the scheduled
+/// timeline.
 void expectBitIdentical(const RunResult &Oracle, const RunResult &Candidate) {
   expectSameResults(Oracle, Candidate);
   EXPECT_EQ(Oracle.StoredBytes, Candidate.StoredBytes);
+  EXPECT_EQ(Oracle.BlocksDigest, Candidate.BlocksDigest);
   for (unsigned R = 0; R < ResourceCount; ++R) {
     SCOPED_TRACE(resourceName(static_cast<Resource>(R)));
     EXPECT_DOUBLE_EQ(Oracle.BusyUs[R], Candidate.BusyUs[R]);
@@ -119,15 +197,159 @@ void expectBitIdentical(const RunResult &Oracle, const RunResult &Candidate) {
 
 constexpr double Fractions[] = {0.0, 0.25, 0.5, 0.75, 1.0};
 
+/// One point of the compress stage's mode x ingest-path matrix, with
+/// the pinnedSummary the classic single-engine stage produced for it.
+struct PinnedCase {
+  const char *Name;
+  PipelineMode Mode;
+  bool CompressEnabled;
+  RunShape Shape;
+  const char *Expected;
+};
+
+const PinnedCase PinnedCases[] = {
+    {"cpu_only", PipelineMode::CpuOnly, true, {},
+     "recipe=ac568e92cc960673 "
+     "blocks=c7b0136399d0d7ed "
+     "stored=1087565 "
+     "cpu=0x1.6e8efd70a3d71p+16/0x1.6e8efd70a3d71p+13 "
+     "gpu=0x0p+0/0x0p+0 "
+     "pcie=0x0p+0/0x0p+0 "
+     "ssd=0x1.f19ebc6a7ef9ep+12/0x1.f19ecccccccd7p+12 "
+     "lock=0x0p+0/0x0p+0 "
+     "wall=0x1.0af9551eb8521p+14"},
+    {"gpu_dedup", PipelineMode::GpuDedup, true, {},
+     "recipe=ac568e92cc960673 "
+     "blocks=c7b0136399d0d7ed "
+     "stored=1087565 "
+     "cpu=0x1.59f704189374cp+16/0x1.59f704189374cp+13 "
+     "gpu=0x1.0c5849ba5e354p+12/0x1.0c5849ba5e355p+12 "
+     "pcie=0x1.0622d0e560419p+10/0x1.0623189374bbdp+10 "
+     "ssd=0x1.f19ebc6a7ef9ep+12/0x1.f19ecccccccd7p+12 "
+     "lock=0x0p+0/0x0p+0 "
+     "wall=0x1.00d4a089a027ep+14"},
+    {"gpu_compress", PipelineMode::GpuCompress, true, {},
+     "recipe=ac568e92cc960673 "
+     "blocks=c40a82b28014f087 "
+     "stored=1090516 "
+     "cpu=0x1.7be884189374cp+15/0x1.7be884189374cp+12 "
+     "gpu=0x1.2967eb851eb85p+12/0x1.2967e90ff9722p+12 "
+     "pcie=0x1.a1ffbe76c8b44p+8/0x1.a1ff6c8b43958p+8 "
+     "ssd=0x1.f23245a1cac08p+12/0x1.f2325999999a3p+12 "
+     "lock=0x0p+0/0x0p+0 "
+     "wall=0x1.a7a3d44673831p+13"},
+    {"gpu_both", PipelineMode::GpuBoth, true, {},
+     "recipe=ac568e92cc960673 "
+     "blocks=c40a82b28014f087 "
+     "stored=1090516 "
+     "cpu=0x1.5df1e8f5c28f6p+15/0x1.5df1e8f5c28f6p+12 "
+     "gpu=0x1.402e4dd2f1aap+13/0x1.402e53b8e4b84p+13 "
+     "pcie=0x1.4d145a1cac083p+10/0x1.4d148d4fdf3c6p+10 "
+     "ssd=0x1.f23245a1cac08p+12/0x1.f2325999999a3p+12 "
+     "lock=0x0p+0/0x0p+0 "
+     "wall=0x1.05ab00e6afcdp+14"},
+    {"write_raw", PipelineMode::GpuCompress, true, {1ull << 20, nullptr},
+     "recipe=26203dcce39c883d "
+     "blocks=9e4f1b6a5d7765a7 "
+     "stored=2071515 "
+     "cpu=0x1.729d66e978d5p+15/0x1.729d66e978d5p+12 "
+     "gpu=0x1.1372a3d70a3d7p+12/0x1.1372a4a8c1548p+12 "
+     "pcie=0x1.82b1eb851eb85p+8/0x1.82b1e353f7ceep+8 "
+     "ssd=0x1.550f26e978d5p+13/0x1.550f333333343p+13 "
+     "lock=0x0p+0/0x0p+0 "
+     "wall=0x1.be639cd35a86dp+13"},
+    {"compress_off", PipelineMode::CpuOnly, false, {},
+     "recipe=ac568e92cc960673 "
+     "blocks=a67d766625368cf6 "
+     "stored=2109456 "
+     "cpu=0x1.20d183126e979p+15/0x1.20d183126e979p+12 "
+     "gpu=0x0p+0/0x0p+0 "
+     "pcie=0x0p+0/0x0p+0 "
+     "ssd=0x1.5c9aa3d70a3d7p+13/0x1.5c9aaccccccdbp+13 "
+     "lock=0x0p+0/0x0p+0 "
+     "wall=0x1.80dedd2f1aa0fp+13"},
+    {"gpu_compress_faults",
+     PipelineMode::GpuCompress,
+     true,
+     {0, "seed=21;gpu-kernel:ecc:at=1;gpu-dma:dma-corrupt:at=6"},
+     "recipe=ac568e92cc960673 "
+     "blocks=ddbb88eb8b269dbd "
+     "stored=1089186 "
+     "cpu=0x1.13a09a5e353f8p+16/0x1.13a09a5e353f8p+13 "
+     "gpu=0x1.2967eb851eb85p+12/0x1.2967e90ff9722p+12 "
+     "pcie=0x1.800e978d4fdf4p+8/0x1.800e5e353f7cfp+8 "
+     "ssd=0x1.f1efc6a7ef9dbp+12/0x1.f1efd999999a4p+12 "
+     "lock=0x0p+0/0x0p+0 "
+     "wall=0x1.fc2f5dbf4881p+13"},
+    {"gpu_both_faults",
+     PipelineMode::GpuBoth,
+     true,
+     {0, "seed=22;gpu-kernel:hang:every=9"},
+     "recipe=ac568e92cc960673 "
+     "blocks=c40a82b28014f087 "
+     "stored=1090516 "
+     "cpu=0x1.6575cd4fdf3b6p+15/0x1.6575cd4fdf3b6p+12 "
+     "gpu=0x1.37caa6e978d5p+14/0x1.37caa915379f7p+14 "
+     "pcie=0x1.3e83020c49ba6p+10/0x1.3e83353f7cee2p+10 "
+     "ssd=0x1.f23245a1cac08p+12/0x1.f2325999999a3p+12 "
+     "lock=0x0p+0/0x0p+0 "
+     "wall=0x1.9c0be16723234p+14"},
+};
+
+/// gtest prints parameters in test listings; the name is stable where
+/// the struct's raw bytes (pointers) are not.
+void PrintTo(const PinnedCase &Case, std::ostream *Os) { *Os << Case.Name; }
+
+PipelineConfig pinnedConfig(const PinnedCase &Case) {
+  PipelineConfig Config = modeConfig(Case.Mode);
+  Config.CompressEnabled = Case.CompressEnabled;
+  return Config;
+}
+
+class BackendPinned : public ::testing::TestWithParam<PinnedCase> {};
+
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Pinned constants: every PipelineMode's compress stage, the store-raw
+// loop and device-fault fallback, held to the classic stage's values
+//===----------------------------------------------------------------------===//
+
+TEST_P(BackendPinned, MatchesClassicStage) {
+  const PinnedCase &Case = GetParam();
+  const ByteVector Data = makeStream(4ull << 20);
+  const RunResult Run = runOnce(pinnedConfig(Case), Data, Case.Shape);
+  EXPECT_EQ(Run.ReadBack, Data);
+  EXPECT_EQ(pinnedSummary(Run), Case.Expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, BackendPinned,
+                         ::testing::ValuesIn(PinnedCases),
+                         [](const ::testing::TestParamInfo<PinnedCase> &Info) {
+                           return std::string(Info.param.Name);
+                         });
 
 //===----------------------------------------------------------------------===//
 // Pass-through endpoints: forced modes vs the classic stage
 //===----------------------------------------------------------------------===//
 
+TEST(BackendPassThrough, EveryModeBitIdenticalToClassic) {
+  const ByteVector Data = makeStream(4ull << 20);
+  for (const PinnedCase &Case : PinnedCases) {
+    SCOPED_TRACE(Case.Name);
+    const RunResult Classic = runOnce(pinnedConfig(Case), Data, Case.Shape);
+    PipelineConfig Forced = pinnedConfig(Case);
+    Forced.Backend.Enabled = true;
+    Forced.Backend.Split = modeOffloadsCompression(Case.Mode)
+                               ? backend::SplitMode::GpuOnly
+                               : backend::SplitMode::CpuOnly;
+    expectBitIdentical(Classic, runOnce(Forced, Data, Case.Shape));
+  }
+}
+
 TEST(BackendPassThrough, CpuOnlyBitIdenticalToClassicCpu) {
   const ByteVector Data = makeStream(8ull << 20);
-  const RunResult Classic = runOnce(classicConfig(PipelineMode::CpuOnly), Data);
+  const RunResult Classic = runOnce(modeConfig(PipelineMode::CpuOnly), Data);
   EXPECT_EQ(Classic.ReadBack, Data);
   const RunResult Forced =
       runOnce(backendConfig(backend::SplitMode::CpuOnly), Data);
@@ -137,7 +359,7 @@ TEST(BackendPassThrough, CpuOnlyBitIdenticalToClassicCpu) {
 TEST(BackendPassThrough, GpuOnlyBitIdenticalToClassicGpuCompress) {
   const ByteVector Data = makeStream(8ull << 20);
   const RunResult Classic =
-      runOnce(classicConfig(PipelineMode::GpuCompress), Data);
+      runOnce(modeConfig(PipelineMode::GpuCompress), Data);
   EXPECT_EQ(Classic.ReadBack, Data);
   const RunResult Forced =
       runOnce(backendConfig(backend::SplitMode::GpuOnly), Data);
@@ -160,7 +382,7 @@ TEST(BackendPassThrough, FixedEndpointsMatchForcedModes) {
 
 TEST(BackendSplit, ResultsBitIdenticalAtEveryFraction) {
   const ByteVector Data = makeStream(8ull << 20);
-  const RunResult Oracle = runOnce(classicConfig(PipelineMode::CpuOnly), Data);
+  const RunResult Oracle = runOnce(modeConfig(PipelineMode::CpuOnly), Data);
   ASSERT_EQ(Oracle.ReadBack, Data);
   for (const unsigned Devices : {1u, 2u}) {
     for (const double Fraction : Fractions) {
@@ -175,7 +397,7 @@ TEST(BackendSplit, ResultsBitIdenticalAtEveryFraction) {
 
 TEST(BackendSplit, AutoModeResultsMatchOracle) {
   const ByteVector Data = makeStream(8ull << 20);
-  const RunResult Oracle = runOnce(classicConfig(PipelineMode::CpuOnly), Data);
+  const RunResult Oracle = runOnce(modeConfig(PipelineMode::CpuOnly), Data);
   for (const unsigned Devices : {1u, 2u}) {
     SCOPED_TRACE("devices " + std::to_string(Devices));
     const RunResult Auto = runOnce(
@@ -310,7 +532,7 @@ void runBackendFaultDrain(const char *PlanSpec, unsigned Devices) {
   std::string Error;
   ASSERT_TRUE(fault::parseFaultPlan(PlanSpec, Plan, Error)) << Error;
   const ByteVector Data = makeStream(4ull << 20);
-  const RunResult Clean = runOnce(classicConfig(PipelineMode::CpuOnly), Data);
+  const RunResult Clean = runOnce(modeConfig(PipelineMode::CpuOnly), Data);
   fault::FaultInjector Injector(Plan);
   PipelineConfig Config =
       backendConfig(backend::SplitMode::Auto, 1.0, Devices);
