@@ -17,12 +17,10 @@ using namespace padre::backend;
 
 const char *padre::backend::splitModeName(SplitMode Mode) {
   switch (Mode) {
+  case SplitMode::FollowMode:
+    return "mode";
   case SplitMode::Auto:
     return "auto";
-  case SplitMode::CpuOnly:
-    return "cpu";
-  case SplitMode::GpuOnly:
-    return "gpu";
   case SplitMode::Fixed:
     return "fixed";
   }
@@ -43,24 +41,33 @@ constexpr double MinElapsedUs = 1e-3;
 
 } // namespace
 
+bool AutoSplitter::needsDevice(const BackendConfig &Config,
+                               PipelineMode Mode) {
+  switch (Config.Split) {
+  case SplitMode::FollowMode:
+    return modeOffloadsCompression(Mode);
+  case SplitMode::Auto:
+    return true;
+  case SplitMode::Fixed:
+    return Config.Fraction > 0.0;
+  }
+  assert(false && "Unknown split mode");
+  return false;
+}
+
 AutoSplitter::AutoSplitter(const Setup &S)
     : Model(S.Model), Ledger(S.Ledger), Sched(S.Sched), Trace(S.Obs.Trace),
-      Config(S.Config) {
+      Config(S.Config), Engine(S.Model, S.Ledger, S.Pool, S.Engine, S.Obs) {
   Config.GpuDevices = std::max(1u, Config.GpuDevices);
   Config.TunerWindow = std::max(1u, Config.TunerWindow);
   Alpha = 2.0 / (static_cast<double>(Config.TunerWindow) + 1.0);
-  Cpu = std::make_unique<CpuBackend>(S.Model, S.Ledger, S.Pool, S.Engine,
-                                     S.Obs);
-  if (Config.Split != SplitMode::CpuOnly) {
+  Cpu = std::make_unique<CpuBackend>(S.Model, S.Ledger, Engine);
+  if (needsDevice(Config, S.Mode)) {
     assert(S.Primary && S.Primary->present() &&
            "Device-capable split modes need the pipeline's GPU");
-    if (Config.GpuDevices >= 2)
-      Dev = std::make_unique<MultiGpuBackend>(S.Model, S.Ledger, S.Pool,
-                                              *S.Primary, S.Engine, S.Obs,
-                                              S.Faults, Config.GpuDevices);
-    else
-      Dev = std::make_unique<GpuBackend>(S.Model, S.Ledger, S.Pool,
-                                         *S.Primary, S.Engine, S.Obs);
+    Dev = std::make_unique<GpuBackend>(S.Model, S.Ledger, Engine,
+                                       *S.Primary, S.Obs, S.Faults,
+                                       Config.GpuDevices);
   }
   if (S.Obs.Metrics) {
     obs::MetricsRegistry &M = *S.Obs.Metrics;
@@ -83,9 +90,7 @@ AutoSplitter::AutoSplitter(const Setup &S)
 
 double AutoSplitter::chooseFraction(std::uint64_t TotalBytes) const {
   switch (Config.Split) {
-  case SplitMode::CpuOnly:
-    return 0.0;
-  case SplitMode::GpuOnly:
+  case SplitMode::FollowMode:
     return Dev ? 1.0 : 0.0;
   case SplitMode::Fixed:
     return Dev ? std::clamp(Config.Fraction, 0.0, 1.0) : 0.0;
@@ -196,8 +201,8 @@ void AutoSplitter::runCompressStage(std::span<const ChunkView> Chunks,
 
   const double Fraction = chooseFraction(TotalBytes);
   const std::size_t Cut = cutIndex(Chunks, Fraction, TotalBytes);
-  // Auto pipelines the device share per sub-batch; the forced and
-  // fixed modes keep one record per backend (the pass-through shape).
+  // Auto pipelines the device share per sub-batch; the mode and fixed
+  // placements keep one record per device.
   const bool Pipelined = Config.Split == SplitMode::Auto;
 
   std::uint64_t DevBytes = 0;

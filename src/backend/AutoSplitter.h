@@ -16,10 +16,12 @@
 /// pipelined at sub-batch granularity (one slice record per kernel
 /// round trip), the splitter's pipeline-depth lever.
 ///
-/// Forced modes (CpuOnly / GpuOnly with one device) are exact
-/// pass-throughs: results, recipes, ledger charges and the scheduled
-/// timeline are bit-identical to the classic single-backend stage —
-/// the correctness bar tests/test_backend.cpp holds the splitter to.
+/// The splitter is the pipeline's only compress stage. Its default
+/// policy (SplitMode::FollowMode) places the whole batch where the
+/// PipelineMode says — the CPU backend in cpu-only and gpu-dedup, the
+/// device backend in gpu-compress and gpu-both — as one record per
+/// device; tests/test_backend.cpp pins those placements' results,
+/// recipes, ledger charges and scheduled timeline to constants.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +30,7 @@
 
 #include "backend/CpuBackend.h"
 #include "backend/GpuBackend.h"
-#include "backend/MultiGpuBackend.h"
+#include "core/Report.h"
 #include "fault/FaultInjector.h"
 
 #include <memory>
@@ -54,8 +56,9 @@ struct SplitterStats {
 class AutoSplitter {
 public:
   /// Everything the splitter borrows from the pipeline. All references
-  /// must outlive the splitter; \p Primary may be null only when
-  /// Config.Split == CpuOnly (no device backend is built then).
+  /// but Model (copied) must outlive the splitter; \p Primary may be
+  /// null only when needsDevice() is false (no device backend is built
+  /// then).
   struct Setup {
     const CostModel &Model;
     ResourceLedger &Ledger;
@@ -66,16 +69,20 @@ public:
     obs::ObsSinks Obs;
     fault::FaultInjector *Faults = nullptr;
     BackendConfig Config;
+    PipelineMode Mode = PipelineMode::CpuOnly;
   };
 
   explicit AutoSplitter(const Setup &S);
 
-  /// The compress stage under the splitter: partitions \p Chunks,
-  /// executes the slices functionally (charging the ledger), replays
-  /// them via BatchScheduler::endStageCompressSliced, and feeds the
-  /// observed slice rates back to the tuner. Replaces the
-  /// compressBatch + endStage(Compress) pair — the caller must still
-  /// bracket with beginStage(Compress).
+  /// True when \p Config can route bytes to the device backend under
+  /// \p Mode — the pipeline builds its primary GPU for it.
+  static bool needsDevice(const BackendConfig &Config, PipelineMode Mode);
+
+  /// The compress stage: partitions \p Chunks, executes the slices
+  /// functionally (charging the ledger), replays them via
+  /// BatchScheduler::endStageCompressSliced, and feeds the observed
+  /// slice rates back to the tuner. The caller brackets it with
+  /// beginStage(Compress).
   void runCompressStage(std::span<const ChunkView> Chunks,
                         std::vector<CompressedChunk> &Out);
 
@@ -87,15 +94,9 @@ public:
     return Dev ? Dev->caps().DeviceCount : 0;
   }
 
-  /// Store-raw fallbacks / device-fault CPU re-compressions across all
-  /// backend engines (the splitter-mode sources of the pipeline
-  /// report's fallback counters).
-  std::uint64_t rawFallbacks() const {
-    return Cpu->rawFallbacks() + (Dev ? Dev->rawFallbacks() : 0);
-  }
-  std::uint64_t deviceFallbacks() const {
-    return Dev ? Dev->deviceFallbacks() : 0;
-  }
+  /// Store-raw fallbacks across both backends (the source of the
+  /// pipeline report's fallback counter).
+  std::uint64_t rawFallbacks() const { return Engine.rawFallbacks(); }
 
   /// Rewinds backend-owned timeline state (extra devices' staging) in
   /// lockstep with BatchScheduler::reset.
@@ -109,13 +110,16 @@ private:
   std::size_t cutIndex(std::span<const ChunkView> Chunks, double Fraction,
                        std::uint64_t TotalBytes) const;
 
-  const CostModel &Model;
+  /// A copy: the pipeline's caller may pass a temporary platform.
+  CostModel Model;
   ResourceLedger &Ledger;
   BatchScheduler &Sched;
   obs::TraceRecorder *Trace;
   BackendConfig Config;
+  /// The one engine both backends drive.
+  CompressEngine Engine;
   std::unique_ptr<CpuBackend> Cpu;
-  std::unique_ptr<ReductionBackend> Dev; ///< null when CPU-only
+  std::unique_ptr<GpuBackend> Dev; ///< null when needsDevice() is false
   /// Reused slice-record scratch (no steady-state allocation).
   std::vector<BatchScheduler::CompressSlice> Records;
   // Tuner state: EWMA rates in bytes/µs; 0 = not yet seeded.

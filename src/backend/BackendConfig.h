@@ -15,34 +15,30 @@ namespace backend {
 
 /// How the splitter partitions each batch across backends.
 ///
-///   Auto    — the HPDR-style tuner picks the device share per batch
-///             from observed per-backend rates (EWMA, seeded from the
-///             static cost-model quotes) and pipelines the device
-///             share at sub-batch granularity.
-///   CpuOnly — forced split fraction 0: every chunk on the CPU
-///             backend. Bit-identical (results, recipes, charges,
-///             timeline) to the classic CpuOnly compress path.
-///   GpuOnly — forced split fraction 1: every chunk on the device
-///             backend. Bit-identical to the classic GpuCompress path
-///             when one device is configured.
-///   Fixed   — a static fraction of each batch's bytes to the device
-///             backend (BackendConfig::Fraction); no tuning.
-enum class SplitMode { Auto, CpuOnly, GpuOnly, Fixed };
+///   FollowMode — the PipelineMode's placement (the default): every
+///                chunk on the CPU backend in cpu-only and gpu-dedup,
+///                every chunk on the device backend in gpu-compress and
+///                gpu-both. The CPU modes build no device backend, so
+///                GPU-less platforms work.
+///   Auto       — the HPDR-style tuner picks the device share per batch
+///                from observed per-backend rates (EWMA, seeded from the
+///                static cost-model quotes) and pipelines the device
+///                share at sub-batch granularity.
+///   Fixed      — a static fraction of each batch's bytes to the device
+///                backend (BackendConfig::Fraction); no tuning. Fixed 0
+///                builds no device backend.
+enum class SplitMode { FollowMode, Auto, Fixed };
 
-/// Returns "auto", "cpu", "gpu" or "fixed".
+/// Returns "mode", "auto" or "fixed".
 const char *splitModeName(SplitMode Mode);
 
 /// Backend-framework knobs, embedded in PipelineConfig::Backend.
 struct BackendConfig {
-  /// Off by default: the pipeline keeps the single-engine compress
-  /// stage and nothing in this struct is read.
-  bool Enabled = false;
-  /// Modelled GPUs driven by the device-side backend: 1 selects the
-  /// single-GPU backend (pass-through to the classic GPU engine), >= 2
-  /// the N-GPU backend (extra GpuDevice instances with independent
-  /// staging/queues on their own timeline lanes).
+  /// Modelled GPUs driven by the device backend (>= 1). Devices past
+  /// the first are extra GpuDevice instances with independent
+  /// staging/queues on their own timeline lanes.
   unsigned GpuDevices = 1;
-  SplitMode Split = SplitMode::Auto;
+  SplitMode Split = SplitMode::FollowMode;
   /// Fixed-mode device share of each batch's bytes, clamped to [0, 1].
   double Fraction = 1.0;
   /// Tuner observation window in batches: the EWMA smoothing factor is

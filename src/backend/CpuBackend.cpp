@@ -10,17 +10,9 @@
 using namespace padre;
 using namespace padre::backend;
 
-static CompressEngineConfig cpuConfig(CompressEngineConfig Engine) {
-  Engine.Backend = CompressBackend::Cpu;
-  return Engine;
-}
-
 CpuBackend::CpuBackend(const CostModel &Model, ResourceLedger &Ledger,
-                       ThreadPool &Pool, CompressEngineConfig Engine,
-                       const obs::ObsSinks &Obs)
-    : Model(Model), Ledger(Ledger),
-      Engine(Model, Ledger, Pool, /*Device=*/nullptr, cpuConfig(Engine),
-             Obs) {
+                       CompressEngine &Engine)
+    : Model(Model), Ledger(Ledger), Engine(Engine) {
   Caps.Name = "cpu";
   Caps.SpanName = "backend:cpu";
   Caps.DeviceCount = 0;
@@ -46,7 +38,7 @@ void CpuBackend::executeSlice(
   // sequentially on the pipeline thread, so the pool delta across this
   // call is exactly this slice's charge.
   const double CpuBeforeUs = Ledger.busyMicros(Resource::CpuPool);
-  Engine.compressSlice(Chunks, Begin, End, Out);
+  Engine.compressRangeCpu(Chunks, Begin, End, Out);
   BatchScheduler::CompressSlice Slice;
   Slice.CpuUs = Ledger.busyMicros(Resource::CpuPool) - CpuBeforeUs;
   Slices.push_back(std::move(Slice));

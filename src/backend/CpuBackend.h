@@ -1,11 +1,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The CPU-pool backend: wraps a Cpu-mode CompressEngine (one codec
-/// call per chunk across the pool, §3.2(1)) behind ReductionBackend.
-/// Its slice record carries no device ops — just the pool time it
-/// charged — so a full-batch slice replays bit-identically to the
-/// classic CpuOnly compress stage.
+/// The CPU-pool backend: the engine's CPU path (one codec call per
+/// chunk across the pool, §3.2(1)) behind ReductionBackend. Its slice
+/// record carries no device ops — just the pool time it charged — so
+/// a full-batch slice replays as one pool task ready at dedup-done.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,11 +18,10 @@ namespace backend {
 
 class CpuBackend final : public ReductionBackend {
 public:
-  /// \p Engine is the base engine configuration (matcher, entropy
-  /// stage, sub-block framing); its Backend field is forced to Cpu.
+  /// \p Engine is the splitter's shared engine; must outlive the
+  /// backend.
   CpuBackend(const CostModel &Model, ResourceLedger &Ledger,
-             ThreadPool &Pool, CompressEngineConfig Engine,
-             const obs::ObsSinks &Obs);
+             CompressEngine &Engine);
 
   const BackendCaps &caps() const override { return Caps; }
   double quoteCompressUs(std::uint64_t Bytes,
@@ -32,14 +30,11 @@ public:
                     std::size_t End, std::vector<CompressedChunk> &Out,
                     std::vector<BatchScheduler::CompressSlice> &Slices,
                     bool Pipelined) override;
-  std::uint64_t rawFallbacks() const override {
-    return Engine.rawFallbacks();
-  }
 
 private:
   CostModel Model;
   ResourceLedger &Ledger;
-  CompressEngine Engine;
+  CompressEngine &Engine;
   BackendCaps Caps;
 };
 

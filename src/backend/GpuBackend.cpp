@@ -1,11 +1,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Single-GPU backend implementation.
+/// GPU backend implementation.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "backend/GpuBackend.h"
+
+#include "fault/FaultInjector.h"
 
 #include <algorithm>
 #include <cassert>
@@ -13,14 +15,11 @@
 using namespace padre;
 using namespace padre::backend;
 
-static CompressEngineConfig gpuConfig(CompressEngineConfig Engine) {
-  Engine.Backend = CompressBackend::GpuLane;
-  return Engine;
-}
-
-double padre::backend::gpuQuoteCompressUs(const CostModel &Model,
-                                          std::uint64_t Bytes,
-                                          std::size_t Chunks) {
+/// The static quote for one device: PCIe round trip + launch +
+/// pessimistic lockstep kernel + pool-width CPU refinement, per
+/// compression sub-batch.
+static double gpuQuoteCompressUs(const CostModel &Model, std::uint64_t Bytes,
+                                 std::size_t Chunks) {
   if (Chunks == 0)
     return 0.0;
   const std::size_t SubBatch =
@@ -49,40 +48,51 @@ double padre::backend::gpuQuoteCompressUs(const CostModel &Model,
 }
 
 GpuBackend::GpuBackend(const CostModel &Model, ResourceLedger &Ledger,
-                       ThreadPool &Pool, GpuDevice &Device,
-                       CompressEngineConfig Engine, const obs::ObsSinks &Obs)
-    : Model(Model), Ledger(Ledger), Device(Device),
-      Engine(Model, Ledger, Pool, &Device, gpuConfig(Engine), Obs) {
-  assert(Device.present() && "GPU backend without a modelled GPU");
-  Caps.Name = "gpu";
-  Caps.SpanName = "backend:gpu";
-  Caps.DeviceCount = 1;
+                       CompressEngine &Engine, GpuDevice &Primary,
+                       const obs::ObsSinks &Obs,
+                       fault::FaultInjector *Faults, unsigned Devices)
+    : Model(Model), Ledger(Ledger), Engine(Engine) {
+  assert(Devices >= 1 && "GPU backend needs at least one device");
+  assert(Primary.present() && "GPU backend without a modelled GPU");
+  Units.resize(Devices);
+  for (unsigned K = 0; K < Devices; ++K) {
+    Unit &U = Units[K];
+    if (K == 0) {
+      // Device 0 replays on the resource lanes themselves.
+      U.Device = &Primary;
+      U.GpuLane = static_cast<unsigned>(Resource::Gpu);
+      U.PcieLane = static_cast<unsigned>(Resource::Pcie);
+      continue;
+    }
+    U.Owned = std::make_unique<GpuDevice>(Model, Ledger);
+    U.Device = U.Owned.get();
+    U.Device->setDeviceIndex(K);
+    U.Device->setMixedMode(Primary.mixedMode());
+    U.Device->setObs(Obs);
+    if (Faults)
+      U.Device->setFaultInjector(Faults);
+    // Each extra device gets its own queue lane and its own modelled
+    // PCIe link lane (point-to-point links, one per device).
+    U.GpuLane = Ledger.addTimelineLane(Resource::Gpu);
+    U.PcieLane = Ledger.addTimelineLane(Resource::Pcie);
+  }
+  NameStr = Devices == 1 ? "gpu" : "gpu" + std::to_string(Devices);
+  SpanNameStr = "backend:" + NameStr;
+  Caps.Name = NameStr.c_str();
+  Caps.SpanName = SpanNameStr.c_str();
+  Caps.DeviceCount = Devices;
+  if (Obs.Metrics)
+    FallbackCounter = &Obs.Metrics->counter(
+        "padre_gpu_fallback_total{family=\"compression\"}",
+        "GPU sub-batches re-compressed on the CPU after a device fault");
 }
 
 double GpuBackend::quoteCompressUs(std::uint64_t Bytes,
                                    std::size_t Chunks) const {
-  return gpuQuoteCompressUs(Model, Bytes, Chunks);
-}
-
-void GpuBackend::runRange(
-    std::span<const ChunkView> Chunks, std::size_t Begin, std::size_t End,
-    std::vector<CompressedChunk> &Out,
-    std::vector<BatchScheduler::CompressSlice> &Slices) {
-  BatchScheduler::CompressSlice Slice;
-  Slice.GpuLane = static_cast<unsigned>(Resource::Gpu);
-  Slice.PcieLane = static_cast<unsigned>(Resource::Pcie);
-  Slice.Staging = &Device.staging();
-  // Capture this range's async submissions on our own log (the
-  // scheduler's stage-level log stays empty; the slice replay is the
-  // only consumer). CPU attribution by busy snapshot, as in CpuBackend
-  // — for a device range this is the refinement pass plus any
-  // fault-fallback re-compression.
-  const double CpuBeforeUs = Ledger.busyMicros(Resource::CpuPool);
-  Device.setOpLog(&Slice.Ops);
-  Engine.compressSlice(Chunks, Begin, End, Out);
-  Device.setOpLog(nullptr);
-  Slice.CpuUs = Ledger.busyMicros(Resource::CpuPool) - CpuBeforeUs;
-  Slices.push_back(std::move(Slice));
+  // Ideal static partition: each device compresses 1/N of the slice on
+  // its own link and queue; the shared CPU refinement does not divide.
+  const unsigned N = deviceCount();
+  return gpuQuoteCompressUs(Model, Bytes / N, (Chunks + N - 1) / N);
 }
 
 void GpuBackend::executeSlice(
@@ -91,17 +101,48 @@ void GpuBackend::executeSlice(
     std::vector<BatchScheduler::CompressSlice> &Slices, bool Pipelined) {
   if (Begin >= End)
     return;
-  if (!Pipelined) {
-    runRange(Chunks, Begin, End, Out, Slices);
-    return;
-  }
-  // Pipelined: one slice record per compression sub-batch, so each
-  // sub-batch's CPU refinement replays after *its* kernel round trip
-  // instead of after the whole chain — the splitter's pipeline-depth
-  // lever. Results and charges are unchanged; only the timeline
-  // placement differs.
   const std::size_t SubBatch =
       std::max<std::size_t>(1, Model.Gpu.CompressBatchChunks);
-  for (std::size_t B = Begin; B < End; B += SubBatch)
-    runRange(Chunks, B, std::min(End, B + SubBatch), Out, Slices);
+  const std::size_t SubBatches = (End - Begin + SubBatch - 1) / SubBatch;
+  const std::size_t N = Units.size();
+  // Record R covers sub-batches R, R + Stride, ... on device R mod N.
+  // Pipelined, every sub-batch is its own record — so its refinement
+  // replays after *its* kernel round trip instead of after the whole
+  // chain, the splitter's pipeline-depth lever. Otherwise each device's
+  // round-robin share is one record, executed grouped by device (the
+  // per-chunk outputs are disjoint, so execution order is free).
+  // Results and charges are the same either way; only the timeline
+  // placement differs.
+  const std::size_t Records = Pipelined ? SubBatches : std::min(N, SubBatches);
+  const std::size_t Stride = Pipelined ? SubBatches : N;
+  for (std::size_t R = 0; R < Records; ++R) {
+    Unit &U = Units[R % N];
+    BatchScheduler::CompressSlice Slice;
+    Slice.GpuLane = U.GpuLane;
+    Slice.PcieLane = U.PcieLane;
+    Slice.Staging = &U.Device->staging();
+    // Capture the record's async submissions on its own log (the
+    // scheduler's stage-level log stays empty; the slice replay is the
+    // only consumer). CPU attribution by busy snapshot, as in
+    // CpuBackend: the refinement pass plus any fault-fallback
+    // re-compression.
+    const double CpuBeforeUs = Ledger.busyMicros(Resource::CpuPool);
+    U.Device->setOpLog(&Slice.Ops);
+    for (std::size_t I = R; I < SubBatches; I += Stride) {
+      const std::size_t B = Begin + I * SubBatch;
+      const std::size_t Fell = Engine.compressRangeGpu(
+          *U.Device, Chunks, B, std::min(End, B + SubBatch), Out);
+      if (FallbackCounter)
+        FallbackCounter->add(Fell);
+    }
+    U.Device->setOpLog(nullptr);
+    Slice.CpuUs = Ledger.busyMicros(Resource::CpuPool) - CpuBeforeUs;
+    Slices.push_back(std::move(Slice));
+  }
+}
+
+void GpuBackend::resetTimelineState() {
+  for (Unit &U : Units)
+    if (U.Owned)
+      U.Owned->staging().reset();
 }

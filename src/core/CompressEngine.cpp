@@ -10,61 +10,29 @@
 #include "compress/Block.h"
 #include "compress/ChunkCodec.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace padre;
 
 CompressEngine::CompressEngine(const CostModel &Model,
                                ResourceLedger &Ledger, ThreadPool &Pool,
-                               GpuDevice *Device,
                                const CompressEngineConfig &Config,
                                const obs::ObsSinks &Obs)
-    : Model(Model), Ledger(Ledger), Pool(Pool), Device(Device),
-      Config(Config), CpuCodec(Config.CpuMatcher, Config.CpuOptions),
+    : Model(Model), Ledger(Ledger), Pool(Pool), Config(Config),
+      CpuCodec(Config.CpuMatcher, Config.CpuOptions),
       LaneCompressor(Config.Lanes) {
   assert(isValidCostModel(Model) && "Invalid cost model");
-  if (Config.Backend == CompressBackend::GpuLane)
-    assert(Device && Device->present() &&
-           "GPU compression requested without a GPU");
-  if (Obs.Metrics) {
+  if (Obs.Metrics)
     RawFallbackCounter = &Obs.Metrics->counter(
         "padre_compress_raw_fallback_total",
         "Chunks stored raw because compression did not pay");
-    if (Config.Backend == CompressBackend::GpuLane)
-      GpuFallbacks = &Obs.Metrics->counter(
-          "padre_gpu_fallback_total{family=\"compression\"}",
-          "GPU sub-batches re-compressed on the CPU after a device "
-          "fault");
-  }
-}
-
-void CompressEngine::compressBatch(std::span<const ChunkView> Chunks,
-                                   std::vector<CompressedChunk> &Out) {
-  Out.assign(Chunks.size(), CompressedChunk());
-  if (Chunks.empty())
-    return;
-  if (Config.Backend == CompressBackend::Cpu)
-    compressRangeCpu(Chunks, 0, Chunks.size(), Out);
-  else
-    compressRangeGpu(Chunks, 0, Chunks.size(), Out);
-}
-
-void CompressEngine::compressSlice(std::span<const ChunkView> Chunks,
-                                   std::size_t Begin, std::size_t End,
-                                   std::vector<CompressedChunk> &Out) {
-  assert(Out.size() == Chunks.size() && "Out must be pre-sized");
-  assert(Begin <= End && End <= Chunks.size() && "Bad slice bounds");
-  if (Begin == End)
-    return;
-  if (Config.Backend == CompressBackend::Cpu)
-    compressRangeCpu(Chunks, Begin, End, Out);
-  else
-    compressRangeGpu(Chunks, Begin, End, Out);
 }
 
 void CompressEngine::compressRangeCpu(std::span<const ChunkView> Chunks,
                                       std::size_t Begin, std::size_t End,
                                       std::vector<CompressedChunk> &Out) {
+  assert(Out.size() == Chunks.size() && "Out must be pre-sized");
   // One codec call per chunk, chunk-parallel across the pool (§3.2(1)).
   Pool.parallelForSlices(
       Begin, End,
@@ -133,13 +101,17 @@ void CompressEngine::compressRangeCpu(std::span<const ChunkView> Chunks,
       });
 }
 
-void CompressEngine::compressRangeGpu(std::span<const ChunkView> Chunks,
-                                      std::size_t RangeBegin,
-                                      std::size_t RangeEnd,
-                                      std::vector<CompressedChunk> &Out) {
-  assert(Device && "GPU backend without device");
+std::size_t CompressEngine::compressRangeGpu(
+    GpuDevice &Device, std::span<const ChunkView> Chunks,
+    std::size_t RangeBegin, std::size_t RangeEnd,
+    std::vector<CompressedChunk> &Out) {
+  assert(Device.present() && "GPU compression without a modelled GPU");
+  assert(Out.size() == Chunks.size() && "Out must be pre-sized");
   const std::size_t SubBatch = Model.Gpu.CompressBatchChunks;
-  std::vector<LaneOutputs> DeviceResults(Chunks.size());
+  const std::size_t Scratch = std::min(SubBatch, RangeEnd - RangeBegin);
+  if (DeviceResults.size() < Scratch)
+    DeviceResults.resize(Scratch);
+  std::size_t Fallbacks = 0;
 
   for (std::size_t Begin = RangeBegin; Begin < RangeEnd; Begin += SubBatch) {
     const std::size_t End = std::min(RangeEnd, Begin + SubBatch);
@@ -148,7 +120,7 @@ void CompressEngine::compressRangeGpu(std::span<const ChunkView> Chunks,
     std::size_t InBytes = 0;
     for (std::size_t I = Begin; I < End; ++I)
       InBytes += Chunks[I].Data.size();
-    fault::Status DeviceOk = Device->transferToDevice(InBytes);
+    fault::Status DeviceOk = Device.transferToDevice(InBytes);
 
     // Run the lane kernels functionally first; their per-lane outcomes
     // determine the kernel's modelled execution time under the SIMT
@@ -158,28 +130,28 @@ void CompressEngine::compressRangeGpu(std::span<const ChunkView> Chunks,
     double ExecMicros = 0.0;
     if (DeviceOk.ok()) {
       for (std::size_t I = Begin; I < End; ++I) {
-        DeviceResults[I] = LaneCompressor.runLanes(Chunks[I].Data);
+        LaneOutputs &Lanes = DeviceResults[I - Begin];
+        Lanes = LaneCompressor.runLanes(Chunks[I].Data);
         double SlowestLane = 0.0;
-        for (const CompressResult &Lane : DeviceResults[I].LaneResults)
+        for (const CompressResult &Lane : Lanes.LaneResults)
           SlowestLane = std::max(
               SlowestLane, Model.gpuLaneUs(Lane.Stats.LiteralBytes,
                                            Lane.Stats.MatchBytes));
-        ExecMicros += SlowestLane *
-                      static_cast<double>(
-                          DeviceResults[I].LaneResults.size());
+        ExecMicros +=
+            SlowestLane * static_cast<double>(Lanes.LaneResults.size());
       }
 
       // The lane-parallel kernel over the whole sub-batch ("we design a
       // compression algorithm that computes the chunk compression
       // results at a time", §3.2(2)).
       DeviceOk =
-          Device->launchKernel(KernelFamily::Compression, ExecMicros, nullptr);
+          Device.launchKernel(KernelFamily::Compression, ExecMicros, nullptr);
 
       // Device -> host: the unrefined per-lane token streams.
       if (DeviceOk.ok()) {
         for (std::size_t I = Begin; I < End; ++I)
-          OutBytes += DeviceResults[I].totalPayloadBytes();
-        DeviceOk = Device->transferFromDevice(OutBytes);
+          OutBytes += DeviceResults[I - Begin].totalPayloadBytes();
+        DeviceOk = Device.transferFromDevice(OutBytes);
       }
     }
 
@@ -187,9 +159,7 @@ void CompressEngine::compressRangeGpu(std::span<const ChunkView> Chunks,
       // Degraded mode: re-compress this sub-batch on the CPU path.
       // Whatever the device produced is discarded — the output is
       // bit-exact either way, only the modelled cost differs.
-      ++GpuFallbackCount;
-      if (GpuFallbacks)
-        GpuFallbacks->add(1);
+      ++Fallbacks;
       compressRangeCpu(Chunks, Begin, End, Out);
       continue;
     }
@@ -197,7 +167,7 @@ void CompressEngine::compressRangeGpu(std::span<const ChunkView> Chunks,
     // Every chunk in the sub-batch waits for the whole kernel round
     // trip before its CPU refinement can start.
     const double Penalty =
-        Device->mixedMode() ? Model.Gpu.MixedKernelPenalty : 1.0;
+        Device.mixedMode() ? Model.Gpu.MixedKernelPenalty : 1.0;
     const double RoundTripUs = Model.pcieTransferUs(InBytes) +
                                (Model.Gpu.LaunchUs + ExecMicros) * Penalty +
                                Model.pcieTransferUs(OutBytes);
@@ -211,7 +181,7 @@ void CompressEngine::compressRangeGpu(std::span<const ChunkView> Chunks,
           std::uint64_t Raw = 0;
           for (std::size_t I = SliceBegin; I < SliceEnd; ++I) {
             RefinedChunk Refined = GpuLaneCompressor::refine(
-                DeviceResults[I], Chunks[I].Data);
+                DeviceResults[I - Begin], Chunks[I].Data);
             const double PostUs = Model.cpuPostprocessUs(
                 Refined.Block.size() - BlockHeaderSize, Refined.StoredRaw);
             Micros += PostUs;
@@ -243,4 +213,5 @@ void CompressEngine::compressRangeGpu(std::span<const ChunkView> Chunks,
             RawFallbackCounter->add(Raw);
         });
   }
+  return Fallbacks;
 }

@@ -1,20 +1,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The parallel compression engine (§3.2). Two backends:
+/// The parallel compression engine (§3.2). Two range entry points, one
+/// per execution substrate (the backends of src/backend call them):
 ///
-///   * Cpu — "the compute is parallelized by the CPU by assigning a
+///   * compressRangeCpu — "the compute is parallelized by the CPU by assigning a
 ///     computing thread that runs the previously studied compression
 ///     algorithm to each chunk": one QuickLZ-class codec call per chunk
 ///     across the pool.
-///   * GpuLane — the paper's design: chunks are batched to the device,
+///   * compressRangeGpu — the paper's design: chunks are batched to the device,
 ///     each chunk is compressed by multiple lanes with overlapping
 ///     history windows, and "the GPU's compression results are not
 ///     refined in GPU due to performance issues. Therefore, the CPU
 ///     must refine the results" — the CPU post-processing stage runs on
 ///     the pool after each kernel.
 ///
-/// Both backends fall back to store-raw when compression does not pay.
+/// Both paths fall back to store-raw when compression does not pay.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,9 +37,6 @@
 
 namespace padre {
 
-/// Which hardware runs the LZ scan.
-enum class CompressBackend { Cpu, GpuLane };
-
 /// One compressed chunk ready for destage.
 struct CompressedChunk {
   ByteVector Block; ///< encoded block (compress/Block.h)
@@ -53,83 +51,68 @@ struct CompressedChunk {
 
 /// Engine configuration.
 struct CompressEngineConfig {
-  CompressBackend Backend = CompressBackend::Cpu;
   /// CPU matcher; SingleProbe is the QuickLZ-class default.
   LzCodec::MatcherKind CpuMatcher = LzCodec::MatcherKind::SingleProbe;
   LzOptions CpuOptions;
   GpuLaneConfig Lanes;
   /// Optional Huffman entropy stage over the LZ token stream
   /// (extension): extra CPU cycles for extra ratio. Applied on the CPU
-  /// in both backends (for GpuLane it is part of post-processing).
+  /// on both paths (on the GPU path it is part of post-processing).
   bool EntropyStage = false;
   /// Sub-blocks per chunk for the v2 framed format (decode v2's
   /// compress-time half, see compress/SubBlockFrame.h). 1 emits the
   /// classic unframed payloads; >1 splits each chunk into that many
   /// independently-decodable sub-blocks (history reset at boundaries)
   /// so the warp-cooperative decoder can expand them in parallel — at
-  /// a small measured ratio cost. CPU backend only: the GPU-lane write
+  /// a small measured ratio cost. CPU path only: the GPU-lane write
   /// path keeps its own format, and the entropy stage is skipped for
   /// framed chunks (a Huffman wrap would hide the sub-block
   /// boundaries the frame exists to expose).
   unsigned SubBlocks = 1;
 };
 
-/// The compression stage. One batch at a time; parallelism inside.
+/// The compression stage. One range at a time; parallelism inside.
 class CompressEngine {
 public:
-  /// \p Device may be null when the backend is Cpu.
   /// \p Obs sinks are optional; defaults disable instrumentation.
   CompressEngine(const CostModel &Model, ResourceLedger &Ledger,
-                 ThreadPool &Pool, GpuDevice *Device,
-                 const CompressEngineConfig &Config,
+                 ThreadPool &Pool, const CompressEngineConfig &Config,
                  const obs::ObsSinks &Obs = obs::ObsSinks());
 
-  /// Compresses every chunk in the batch into \p Out (resized).
-  /// Infallible by construction: a GPU device fault re-compresses the
-  /// affected sub-batch on the CPU path (degraded mode), so callers
-  /// never see a partial batch.
-  void compressBatch(std::span<const ChunkView> Chunks,
-                     std::vector<CompressedChunk> &Out);
+  /// CPU path: compresses Chunks[Begin, End) into Out[Begin, End), one
+  /// codec call per chunk across the pool. \p Out must already be
+  /// sized to Chunks.size() — the splitter owns the full batch vector
+  /// and hands each backend its range.
+  void compressRangeCpu(std::span<const ChunkView> Chunks,
+                        std::size_t Begin, std::size_t End,
+                        std::vector<CompressedChunk> &Out);
 
-  /// Slice entry points for the backend layer (src/backend): compress
-  /// Chunks[Begin, End) into Out[Begin, End) on this engine's backend.
-  /// \p Out must already be sized to Chunks.size() — the splitter owns
-  /// the full batch vector and hands each backend its slice. Same
-  /// fault contract as compressBatch (GPU slices fall back per
-  /// sub-batch to the CPU path).
-  void compressSlice(std::span<const ChunkView> Chunks, std::size_t Begin,
-                     std::size_t End, std::vector<CompressedChunk> &Out);
+  /// GPU path on \p Device: per compression sub-batch, H2D -> lane
+  /// kernel -> D2H, then CPU refinement across the pool. Same output
+  /// contract as compressRangeCpu. Infallible by construction: a device
+  /// fault re-compresses the affected sub-batch on the CPU path
+  /// (degraded mode). Returns the number of sub-batches that fell back.
+  std::size_t compressRangeGpu(GpuDevice &Device,
+                               std::span<const ChunkView> Chunks,
+                               std::size_t Begin, std::size_t End,
+                               std::vector<CompressedChunk> &Out);
 
   /// Cumulative store-raw fallbacks.
   std::uint64_t rawFallbacks() const { return RawFallbacks.load(); }
 
-  /// GPU sub-batches re-compressed on the CPU after a device fault.
-  std::uint64_t gpuFallbackCount() const { return GpuFallbackCount; }
-
-  const CompressEngineConfig &config() const { return Config; }
-
 private:
-  /// CPU backend over [Begin, End) — also the GPU backend's per-sub-
-  /// batch fallback.
-  void compressRangeCpu(std::span<const ChunkView> Chunks,
-                        std::size_t Begin, std::size_t End,
-                        std::vector<CompressedChunk> &Out);
-  void compressRangeGpu(std::span<const ChunkView> Chunks,
-                        std::size_t Begin, std::size_t End,
-                        std::vector<CompressedChunk> &Out);
-
   CostModel Model;
   ResourceLedger &Ledger;
   ThreadPool &Pool;
-  GpuDevice *Device;
   CompressEngineConfig Config;
   LzCodec CpuCodec;
   GpuLaneCompressor LaneCompressor;
+  /// One sub-batch of unrefined lane outputs, indexed relative to the
+  /// sub-batch start and reused across calls (no per-call allocation).
+  std::vector<LaneOutputs> DeviceResults;
   std::atomic<std::uint64_t> RawFallbacks{0};
-  std::uint64_t GpuFallbackCount = 0;
   // Observability (null = disabled), cached at construction.
   obs::Counter *RawFallbackCounter = nullptr;
-  obs::Counter *GpuFallbacks = nullptr;
 };
 
 } // namespace padre

@@ -111,14 +111,13 @@ struct PipelineConfig {
   /// becomes a measured output (DESIGN.md decision 14).
   std::optional<ssd::FtlConfig> Ftl;
   /// Multi-backend reduction framework (src/backend, DESIGN.md
-  /// decision 17). Disabled (the default) keeps the single-engine
-  /// compress stage bit-exactly; enabled, the compress stage routes
-  /// through the AutoSplitter's backend partition — forced CpuOnly /
-  /// GpuOnly splits reproduce the classic stage bit-identically
-  /// (results, recipes, charges, timeline), Auto tunes the split per
-  /// batch, and GpuDevices >= 2 adds modelled GPUs with their own
-  /// staging/queue lanes. Requires CompressEnabled; device-capable
-  /// split modes require a GPU-present platform.
+  /// decision 17): every compress stage runs through the AutoSplitter's
+  /// backend partition. The default split follows Mode (the CPU backend
+  /// in cpu-only/gpu-dedup, the device backend in gpu-compress/
+  /// gpu-both); Auto tunes the split per batch, Fixed pins a device
+  /// share, and GpuDevices >= 2 adds modelled GPUs with their own
+  /// staging/queue lanes. Device-capable splits require a GPU-present
+  /// platform.
   backend::BackendConfig Backend;
 
   PipelineConfig() {
@@ -258,7 +257,8 @@ public:
   ResourceLedger &ledger() { return Ledger; }
   const BatchScheduler &scheduler() const { return *Sched; }
   ThreadPool &pool() { return Pool; }
-  /// The backend splitter (null unless Config.Backend.Enabled).
+  /// The compress stage's backend splitter (null when
+  /// Config.CompressEnabled is false).
   const backend::AutoSplitter *splitter() const { return Splitter.get(); }
   /// Modelled GPU devices in play — the capacity term of the report's
   /// makespan (1 without the multi-GPU backend).
@@ -283,7 +283,6 @@ private:
   SsdModel Ssd;
   ChunkStore Store;
   std::unique_ptr<DedupEngine> Dedup;
-  std::unique_ptr<CompressEngine> Compress;
   std::unique_ptr<ChunkCache> Cache;
   std::unique_ptr<BatchScheduler> Sched;
   std::unique_ptr<backend::AutoSplitter> Splitter;

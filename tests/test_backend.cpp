@@ -2,15 +2,16 @@
 ///
 /// \file
 /// Multi-backend splitter property tests (ctest -L backend). The
-/// correctness bar for src/backend: the forced split endpoints must be
-/// exact pass-throughs of the classic single-backend stage (results,
-/// recipes, ledger charges and the scheduled timeline bit-identical),
-/// every interior split point must keep results and recipes
-/// bit-identical to the serial oracle, the tuner must be deterministic
-/// under replay, charges must not depend on the modelled device count,
-/// and fault plans must drain the overlap window with bit-exact
-/// CPU-fallback results. The pinned suite holds every PipelineMode's
-/// compress stage to constants recorded from the classic stage.
+/// correctness bar for src/backend, the pipeline's only compress path:
+/// every PipelineMode's placement, the store-raw loop and device-fault
+/// fallback must reproduce constants recorded from the retired
+/// single-engine stage (results, stored blocks, ledger charges and the
+/// scheduled timeline bit-identical); the Fixed endpoints must equal
+/// the mode placements; every interior split point must keep results
+/// and recipes bit-identical to the serial oracle; the tuner must be
+/// deterministic under replay; charges must not depend on the modelled
+/// device count; and fault plans must drain the overlap window with
+/// bit-exact CPU-fallback results.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +27,7 @@
 #include <algorithm>
 #include <array>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <ostream>
@@ -57,7 +59,6 @@ PipelineConfig modeConfig(PipelineMode Mode) {
 PipelineConfig backendConfig(backend::SplitMode Split, double Fraction = 1.0,
                              unsigned GpuDevices = 1) {
   PipelineConfig Config = modeConfig(PipelineMode::CpuOnly);
-  Config.Backend.Enabled = true;
   Config.Backend.Split = Split;
   Config.Backend.Fraction = Fraction;
   Config.Backend.GpuDevices = GpuDevices;
@@ -330,50 +331,20 @@ INSTANTIATE_TEST_SUITE_P(Modes, BackendPinned,
                          });
 
 //===----------------------------------------------------------------------===//
-// Pass-through endpoints: forced modes vs the classic stage
+// Pass-through endpoints: mode placements vs the Fixed split
 //===----------------------------------------------------------------------===//
 
-TEST(BackendPassThrough, EveryModeBitIdenticalToClassic) {
-  const ByteVector Data = makeStream(4ull << 20);
-  for (const PinnedCase &Case : PinnedCases) {
-    SCOPED_TRACE(Case.Name);
-    const RunResult Classic = runOnce(pinnedConfig(Case), Data, Case.Shape);
-    PipelineConfig Forced = pinnedConfig(Case);
-    Forced.Backend.Enabled = true;
-    Forced.Backend.Split = modeOffloadsCompression(Case.Mode)
-                               ? backend::SplitMode::GpuOnly
-                               : backend::SplitMode::CpuOnly;
-    expectBitIdentical(Classic, runOnce(Forced, Data, Case.Shape));
-  }
-}
-
-TEST(BackendPassThrough, CpuOnlyBitIdenticalToClassicCpu) {
-  const ByteVector Data = makeStream(8ull << 20);
-  const RunResult Classic = runOnce(modeConfig(PipelineMode::CpuOnly), Data);
-  EXPECT_EQ(Classic.ReadBack, Data);
-  const RunResult Forced =
-      runOnce(backendConfig(backend::SplitMode::CpuOnly), Data);
-  expectBitIdentical(Classic, Forced);
-}
-
-TEST(BackendPassThrough, GpuOnlyBitIdenticalToClassicGpuCompress) {
-  const ByteVector Data = makeStream(8ull << 20);
-  const RunResult Classic =
-      runOnce(modeConfig(PipelineMode::GpuCompress), Data);
-  EXPECT_EQ(Classic.ReadBack, Data);
-  const RunResult Forced =
-      runOnce(backendConfig(backend::SplitMode::GpuOnly), Data);
-  expectBitIdentical(Classic, Forced);
-}
-
 TEST(BackendPassThrough, FixedEndpointsMatchForcedModes) {
+  // The mode placements are the Fixed endpoints: cpu-only is Fixed 0,
+  // gpu-compress is Fixed 1.
   const ByteVector Data = makeStream(4ull << 20);
-  expectBitIdentical(runOnce(backendConfig(backend::SplitMode::CpuOnly), Data),
+  expectBitIdentical(runOnce(modeConfig(PipelineMode::CpuOnly), Data),
                      runOnce(backendConfig(backend::SplitMode::Fixed, 0.0),
                              Data));
-  expectBitIdentical(runOnce(backendConfig(backend::SplitMode::GpuOnly), Data),
-                     runOnce(backendConfig(backend::SplitMode::Fixed, 1.0),
-                             Data));
+  PipelineConfig Fixed1 = backendConfig(backend::SplitMode::Fixed, 1.0);
+  Fixed1.Mode = PipelineMode::GpuCompress;
+  expectBitIdentical(runOnce(modeConfig(PipelineMode::GpuCompress), Data),
+                     runOnce(Fixed1, Data));
 }
 
 //===----------------------------------------------------------------------===//
@@ -438,9 +409,9 @@ TEST(BackendSplit, ChargesScheduleAndWallReconcile) {
 TEST(BackendMultiGpu, BusyChargesInvariantAcrossDeviceCount) {
   const ByteVector Data = makeStream(8ull << 20);
   const RunResult One =
-      runOnce(backendConfig(backend::SplitMode::GpuOnly, 1.0, 1), Data);
+      runOnce(backendConfig(backend::SplitMode::Fixed, 1.0, 1), Data);
   const RunResult Two =
-      runOnce(backendConfig(backend::SplitMode::GpuOnly, 1.0, 2), Data);
+      runOnce(backendConfig(backend::SplitMode::Fixed, 1.0, 2), Data);
   expectSameResults(One, Two);
   EXPECT_EQ(One.StoredBytes, Two.StoredBytes);
   // Busy accumulators are shared across mirrored lanes — work charged,
@@ -460,7 +431,7 @@ TEST(BackendMultiGpu, ComputeMakespanScalesWithDevices) {
   Shape.CompressRatio = 2.0;
   Shape.Seed = 92;
   const ByteVector Data = VdbenchStream(Shape).generateAll();
-  PipelineConfig Config = backendConfig(backend::SplitMode::GpuOnly, 1.0, 1);
+  PipelineConfig Config = backendConfig(backend::SplitMode::Fixed, 1.0, 1);
   Config.DedupEnabled = false;
   Config.BatchChunks = 2048;
   const RunResult One = runOnce(Config, Data);
@@ -469,6 +440,35 @@ TEST(BackendMultiGpu, ComputeMakespanScalesWithDevices) {
   expectSameResults(One, Two);
   ASSERT_GT(Two.MakespanSec, 0.0);
   EXPECT_GE(One.MakespanSec / Two.MakespanSec, 1.5);
+}
+
+TEST(BackendMultiGpu, SliceRecordsFollowPipelining) {
+  // Equal 4 KiB chunks, no dedup, 2048-chunk batches: the device share
+  // is ceil(fraction x 2048) chunks, i.e. that many 256-chunk
+  // sub-batches.
+  WorkloadConfig Shape;
+  Shape.TotalBytes = 16ull << 20;
+  Shape.DedupRatio = 1.0;
+  Shape.CompressRatio = 2.0;
+  Shape.Seed = 93;
+  const ByteVector Data = VdbenchStream(Shape).generateAll();
+  const std::size_t SubBatch =
+      Platform::paper().Model.Gpu.CompressBatchChunks;
+  for (const unsigned Devices : {1u, 2u}) {
+    SCOPED_TRACE("devices " + std::to_string(Devices));
+    PipelineConfig Config =
+        backendConfig(backend::SplitMode::Fixed, 1.0, Devices);
+    Config.DedupEnabled = false;
+    Config.BatchChunks = 2048;
+    // Unpipelined: one record per device.
+    EXPECT_EQ(runOnce(Config, Data).Stats.DeviceSlices, Devices);
+    // Pipelined (Auto): one record per sub-batch, whatever the count.
+    Config.Backend.Split = backend::SplitMode::Auto;
+    const RunResult Auto = runOnce(Config, Data);
+    const auto DevChunks = static_cast<std::size_t>(
+        std::ceil(Auto.Stats.Fraction * 2048.0));
+    EXPECT_EQ(Auto.Stats.DeviceSlices, (DevChunks + SubBatch - 1) / SubBatch);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -231,33 +231,50 @@ TEST_F(EngineFixture, AdaptiveOffloadStaysWithinBounds) {
 }
 
 //===----------------------------------------------------------------------===//
-// CompressEngine — both backends
+// CompressEngine — both paths
 //===----------------------------------------------------------------------===//
 
 namespace {
 
+/// Which engine entry point a test drives.
+enum class EnginePath { Cpu, GpuLane };
+
+/// Compresses a whole batch into \p Out: on \p Device's GPU path, or
+/// on the CPU path when \p Device is null.
+void compressAll(CompressEngine &Engine, GpuDevice *Device,
+                 std::span<const ChunkView> Views,
+                 std::vector<CompressedChunk> &Out) {
+  Out.assign(Views.size(), CompressedChunk());
+  if (Device)
+    Engine.compressRangeGpu(*Device, Views, 0, Views.size(), Out);
+  else
+    Engine.compressRangeCpu(Views, 0, Views.size(), Out);
+}
+
 class BackendTest : public EngineFixture,
-                    public ::testing::WithParamInterface<CompressBackend> {
+                    public ::testing::WithParamInterface<EnginePath> {
 protected:
   std::unique_ptr<GpuDevice> Device;
+  CompressEngine Engine{Model, Ledger, Pool, CompressEngineConfig()};
 
-  CompressEngine makeEngine() {
-    CompressEngineConfig Config;
-    Config.Backend = GetParam();
-    if (GetParam() == CompressBackend::GpuLane)
+  void SetUp() override {
+    if (GetParam() == EnginePath::GpuLane)
       Device = std::make_unique<GpuDevice>(Model, Ledger);
-    return CompressEngine(Model, Ledger, Pool, Device.get(), Config);
+  }
+
+  void compress(std::span<const ChunkView> Views,
+                std::vector<CompressedChunk> &Out) {
+    compressAll(Engine, Device.get(), Views, Out);
   }
 };
 
 } // namespace
 
 TEST_P(BackendTest, CompressedBlocksDecodeToOriginal) {
-  CompressEngine Engine = makeEngine();
   const ByteVector Data = streamWithDuplicates(64, 1.0, 8);
   const auto Views = viewsOf(Data);
   std::vector<CompressedChunk> Out;
-  Engine.compressBatch(Views, Out);
+  compress(Views, Out);
   ASSERT_EQ(Out.size(), Views.size());
   for (std::size_t I = 0; I < Out.size(); ++I) {
     const auto View =
@@ -275,11 +292,10 @@ TEST_P(BackendTest, CompressedBlocksDecodeToOriginal) {
 }
 
 TEST_P(BackendTest, CompressionSavesSpaceOnCompressibleData) {
-  CompressEngine Engine = makeEngine();
   const ByteVector Data = streamWithDuplicates(64, 1.0, 9);
   const auto Views = viewsOf(Data);
   std::vector<CompressedChunk> Out;
-  Engine.compressBatch(Views, Out);
+  compress(Views, Out);
   std::uint64_t Stored = 0;
   for (const CompressedChunk &Chunk : Out)
     Stored += Chunk.Block.size();
@@ -288,27 +304,25 @@ TEST_P(BackendTest, CompressionSavesSpaceOnCompressibleData) {
 }
 
 TEST_P(BackendTest, EmptyBatchIsFine) {
-  CompressEngine Engine = makeEngine();
   std::vector<CompressedChunk> Out;
-  Engine.compressBatch({}, Out);
+  compress({}, Out);
   EXPECT_TRUE(Out.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, BackendTest,
-                         ::testing::Values(CompressBackend::Cpu,
-                                           CompressBackend::GpuLane),
+                         ::testing::Values(EnginePath::Cpu,
+                                           EnginePath::GpuLane),
                          [](const auto &Info) {
-                           return Info.param == CompressBackend::Cpu
+                           return Info.param == EnginePath::Cpu
                                       ? "cpu"
                                       : "gpulane";
                          });
 
 TEST_F(EngineFixture, CpuBackendChargesCpuOnly) {
-  CompressEngineConfig Config;
-  CompressEngine Engine(Model, Ledger, Pool, nullptr, Config);
+  CompressEngine Engine(Model, Ledger, Pool, CompressEngineConfig());
   const ByteVector Data = streamWithDuplicates(32, 1.0, 10);
   std::vector<CompressedChunk> Out;
-  Engine.compressBatch(viewsOf(Data), Out);
+  compressAll(Engine, nullptr, viewsOf(Data), Out);
   EXPECT_GT(Ledger.busySeconds(Resource::CpuPool), 0.0);
   EXPECT_EQ(Ledger.busySeconds(Resource::Gpu), 0.0);
   EXPECT_EQ(Ledger.busySeconds(Resource::Pcie), 0.0);
@@ -316,12 +330,10 @@ TEST_F(EngineFixture, CpuBackendChargesCpuOnly) {
 
 TEST_F(EngineFixture, GpuBackendChargesGpuPcieAndCpuRefinement) {
   GpuDevice Device(Model, Ledger);
-  CompressEngineConfig Config;
-  Config.Backend = CompressBackend::GpuLane;
-  CompressEngine Engine(Model, Ledger, Pool, &Device, Config);
+  CompressEngine Engine(Model, Ledger, Pool, CompressEngineConfig());
   const ByteVector Data = streamWithDuplicates(64, 1.0, 11);
   std::vector<CompressedChunk> Out;
-  Engine.compressBatch(viewsOf(Data), Out);
+  compressAll(Engine, &Device, viewsOf(Data), Out);
   EXPECT_GT(Ledger.busySeconds(Resource::Gpu), 0.0);
   EXPECT_GT(Ledger.busySeconds(Resource::Pcie), 0.0);
   EXPECT_GT(Ledger.busySeconds(Resource::CpuPool), 0.0); // refinement
@@ -331,13 +343,12 @@ TEST_F(EngineFixture, GpuBackendChargesGpuPcieAndCpuRefinement) {
 }
 
 TEST_F(EngineFixture, IncompressibleDataFallsBackToRaw) {
-  CompressEngineConfig Config;
-  CompressEngine Engine(Model, Ledger, Pool, nullptr, Config);
+  CompressEngine Engine(Model, Ledger, Pool, CompressEngineConfig());
   ByteVector Data(64 * 4096);
   Random Rng(12);
   Rng.fillBytes(Data.data(), Data.size());
   std::vector<CompressedChunk> Out;
-  Engine.compressBatch(viewsOf(Data), Out);
+  compressAll(Engine, nullptr, viewsOf(Data), Out);
   EXPECT_EQ(Engine.rawFallbacks(), Out.size());
   for (const CompressedChunk &Chunk : Out)
     EXPECT_TRUE(Chunk.StoredRaw);
@@ -351,9 +362,8 @@ TEST_F(EngineFixture, LockstepChargesDivergentChunksMore) {
   // GPU charge must be strictly higher.
   GpuDevice Device(Model, Ledger);
   CompressEngineConfig Config;
-  Config.Backend = CompressBackend::GpuLane;
   Config.Lanes.Lanes = 8;
-  CompressEngine Engine(Model, Ledger, Pool, &Device, Config);
+  CompressEngine Engine(Model, Ledger, Pool, Config);
 
   // Balanced: every 512 B lane is half filler, half noise.
   ByteVector Balanced(4096);
@@ -371,11 +381,13 @@ TEST_F(EngineFixture, LockstepChargesDivergentChunksMore) {
   std::vector<CompressedChunk> Out;
   const ChunkView BalancedView{ByteSpan(Balanced.data(), 4096), 0};
   const ChunkView DivergentView{ByteSpan(Divergent.data(), 4096), 0};
-  Engine.compressBatch(std::span<const ChunkView>(&BalancedView, 1), Out);
+  compressAll(Engine, &Device, std::span<const ChunkView>(&BalancedView, 1),
+              Out);
   const double BalancedExec =
       Ledger.busySeconds(Resource::Gpu) * 1e6 - Model.Gpu.LaunchUs;
   Ledger.reset();
-  Engine.compressBatch(std::span<const ChunkView>(&DivergentView, 1), Out);
+  compressAll(Engine, &Device, std::span<const ChunkView>(&DivergentView, 1),
+              Out);
   const double DivergentExec =
       Ledger.busySeconds(Resource::Gpu) * 1e6 - Model.Gpu.LaunchUs;
   // The literal and match per-byte rates are deliberately close (the
@@ -387,11 +399,9 @@ TEST_F(EngineFixture, LockstepChargesDivergentChunksMore) {
 TEST_F(EngineFixture, GpuBatchingRespectsSubBatchSize) {
   Model.Gpu.CompressBatchChunks = 16;
   GpuDevice Device(Model, Ledger);
-  CompressEngineConfig Config;
-  Config.Backend = CompressBackend::GpuLane;
-  CompressEngine Engine(Model, Ledger, Pool, &Device, Config);
+  CompressEngine Engine(Model, Ledger, Pool, CompressEngineConfig());
   const ByteVector Data = streamWithDuplicates(64, 1.0, 13);
   std::vector<CompressedChunk> Out;
-  Engine.compressBatch(viewsOf(Data), Out);
+  compressAll(Engine, &Device, viewsOf(Data), Out);
   EXPECT_EQ(Device.launches(KernelFamily::Compression), 4u); // 64/16
 }

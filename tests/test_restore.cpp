@@ -374,7 +374,6 @@ TEST_F(RestoreFixture, MixedFramedUnframedBatchArbitratesPerBatch) {
   Config.Mode = PipelineMode::CpuOnly;
   Config.Metrics = &Metrics;
   Config.Compress.SubBlocks = 4;
-  Config.Backend.Enabled = true;
   Config.Backend.Split = backend::SplitMode::Fixed;
   Config.Backend.Fraction = 0.5;
   Data = makeStream(4 << 20);

@@ -154,11 +154,10 @@ struct Options {
   std::uint64_t QuotaBytes = 0;
   ScenarioShape Scenario = ScenarioShape::SkewedHot;
   std::uint64_t GcEvery = 0;
-  bool BackendEnabled = false;
+  /// Explicit splitter policy from --backends/--split/--tuner-window;
+  /// unset, the compress split follows the mode.
+  std::optional<backend::BackendConfig> Backend;
   bool BackendHasGpu = false;
-  unsigned BackendGpuDevices = 1;
-  backend::SplitMode Split = backend::SplitMode::Auto;
-  unsigned TunerWindow = 0; // 0 = BackendConfig default
   bool RawWrites = false;
   bool FtlOn = false;
   std::uint32_t FtlBlocks = 128;
@@ -229,6 +228,14 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
   if (Argc < 2)
     return false;
   Opts.Command = Argv[1];
+  // The first backend flag sets up an explicit splitter policy (Auto
+  // unless --split says otherwise); returns true when it did.
+  const auto ensureBackend = [&Opts] {
+    if (Opts.Backend)
+      return false;
+    Opts.Backend.emplace().Split = backend::SplitMode::Auto;
+    return true;
+  };
   for (int I = 2; I < Argc; ++I) {
     std::string Arg = Argv[I];
     // Accept both "--opt value" and "--opt=value".
@@ -298,7 +305,7 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       Opts.SubBlocks =
           static_cast<unsigned>(std::strtoul(Value.c_str(), nullptr, 10));
     } else if (Arg == "--backends" && NextValue(Value)) {
-      Opts.BackendEnabled = true;
+      ensureBackend();
       std::size_t Pos = 0;
       while (Pos <= Value.size()) {
         const std::size_t Comma = Value.find(',', Pos);
@@ -311,7 +318,7 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
           Opts.BackendHasGpu = true;
         } else if (Token == "gpu2") {
           Opts.BackendHasGpu = true;
-          Opts.BackendGpuDevices = 2;
+          Opts.Backend->GpuDevices = 2;
         } else {
           std::fprintf(stderr, "error: unknown backend '%s'\n",
                        Token.c_str());
@@ -322,30 +329,26 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         Pos = Comma + 1;
       }
     } else if (Arg == "--split" && NextValue(Value)) {
-      if (Value == "auto")
-        Opts.Split = backend::SplitMode::Auto;
-      else if (Value == "cpu")
-        Opts.Split = backend::SplitMode::CpuOnly;
-      else if (Value == "gpu")
-        Opts.Split = backend::SplitMode::GpuOnly;
-      else {
+      // --split implies the splitter over both backends unless
+      // --backends narrows it.
+      if (ensureBackend())
+        Opts.BackendHasGpu = true;
+      if (Value == "auto") {
+        Opts.Backend->Split = backend::SplitMode::Auto;
+      } else if (Value == "cpu" || Value == "gpu") {
+        Opts.Backend->Split = backend::SplitMode::Fixed;
+        Opts.Backend->Fraction = Value == "gpu" ? 1.0 : 0.0;
+      } else {
         std::fprintf(stderr, "error: unknown split policy '%s'\n",
                      Value.c_str());
         return false;
       }
-      // --split implies the splitter over both backends unless
-      // --backends narrows it.
-      if (!Opts.BackendEnabled) {
-        Opts.BackendEnabled = true;
-        Opts.BackendHasGpu = true;
-      }
     } else if (Arg == "--tuner-window" && NextValue(Value)) {
-      Opts.TunerWindow =
-          static_cast<unsigned>(std::strtoul(Value.c_str(), nullptr, 10));
-      if (!Opts.BackendEnabled) {
-        Opts.BackendEnabled = true;
+      if (ensureBackend())
         Opts.BackendHasGpu = true;
-      }
+      if (const unsigned Window = static_cast<unsigned>(
+              std::strtoul(Value.c_str(), nullptr, 10)))
+        Opts.Backend->TunerWindow = Window;
     } else if (Arg == "--read-mode" && NextValue(Value)) {
       if (Value == "cpu")
         Opts.ReadMode = restore::DecodeMode::Cpu;
@@ -466,18 +469,15 @@ PipelineConfig pipelineConfigFor(const Options &Opts, PipelineMode Mode) {
   Config.Chunking = Opts.Chunking;
   Config.PipelineDepth = Opts.PipelineDepth;
   Config.Compress.SubBlocks = Opts.SubBlocks;
-  if (Opts.BackendEnabled) {
-    Config.Backend.Enabled = true;
-    // Device-capable split modes need a modelled GPU; on a GPU-less
-    // platform (or a cpu-only backend list) the splitter degrades to
-    // the forced-CPU pass-through.
-    const bool DeviceCapable =
-        Opts.BackendHasGpu && Opts.Plat.Model.Gpu.Present;
-    Config.Backend.Split =
-        DeviceCapable ? Opts.Split : backend::SplitMode::CpuOnly;
-    Config.Backend.GpuDevices = DeviceCapable ? Opts.BackendGpuDevices : 1;
-    if (Opts.TunerWindow != 0)
-      Config.Backend.TunerWindow = Opts.TunerWindow;
+  if (Opts.Backend) {
+    Config.Backend = *Opts.Backend;
+    // Device-capable splits need a modelled GPU; on a GPU-less platform
+    // (or a cpu-only backend list) the split pins to the CPU endpoint.
+    if (!Opts.BackendHasGpu || !Opts.Plat.Model.Gpu.Present) {
+      Config.Backend.Split = backend::SplitMode::Fixed;
+      Config.Backend.Fraction = 0.0;
+      Config.Backend.GpuDevices = 1;
+    }
   }
   return Config;
 }
@@ -596,11 +596,11 @@ struct FaultSetup {
 PipelineMode resolveMode(const Options &Opts) {
   if (Opts.Mode)
     return *Opts.Mode;
-  // With the multi-backend splitter enabled the compress stage belongs
-  // to the splitter, not the classic mode — calibration across modes
-  // would be answering the wrong question. Dedup stays on the CPU pool
-  // (pass --mode gpu-dedup explicitly to offload it).
-  if (Opts.BackendEnabled) {
+  // With an explicit splitter policy the compress placement belongs to
+  // the policy, not the mode — calibration across modes would be
+  // answering the wrong question. Dedup stays on the CPU pool (pass
+  // --mode gpu-dedup explicitly to offload it).
+  if (Opts.Backend) {
     std::printf("note: --backends routes compression through the "
                 "splitter; using cpu-only writes for the other stages "
                 "(pass --mode to override)\n\n");
@@ -707,7 +707,8 @@ int commandRun(const Options &OptsIn) {
   const PipelineReport WriteReport = Pipeline.report();
   std::printf("%s\n", WriteReport.toString().c_str());
   printOverlapSummary(WriteReport);
-  printSplitterSummary(Pipeline);
+  if (Opts.Backend)
+    printSplitterSummary(Pipeline);
   std::printf("\nread-back verified byte-exact\n");
 
   // Read-mix: restore the whole stream through the batched read
