@@ -4,16 +4,16 @@
 /// The parallel compression engine (§3.2). Two range entry points, one
 /// per execution substrate (the backends of src/backend call them):
 ///
-///   * compressRangeCpu — "the compute is parallelized by the CPU by assigning a
-///     computing thread that runs the previously studied compression
-///     algorithm to each chunk": one QuickLZ-class codec call per chunk
-///     across the pool.
-///   * compressRangeGpu — the paper's design: chunks are batched to the device,
-///     each chunk is compressed by multiple lanes with overlapping
-///     history windows, and "the GPU's compression results are not
-///     refined in GPU due to performance issues. Therefore, the CPU
-///     must refine the results" — the CPU post-processing stage runs on
-///     the pool after each kernel.
+///   * compressRangeCpu — "the compute is parallelized by the CPU by
+///     assigning a computing thread that runs the previously studied
+///     compression algorithm to each chunk": one QuickLZ-class codec
+///     call per chunk across the pool.
+///   * compressRangeGpu — the paper's design: chunks are batched to the
+///     device, each chunk is compressed by multiple lanes with
+///     overlapping history windows, and "the GPU's compression results
+///     are not refined in GPU due to performance issues. Therefore, the
+///     CPU must refine the results" — the CPU post-processing stage
+///     runs on the pool after each kernel.
 ///
 /// Both paths fall back to store-raw when compression does not pay.
 ///
