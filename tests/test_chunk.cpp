@@ -98,6 +98,10 @@ struct CdcCase {
   std::size_t Min, Avg, Max;
 };
 
+// Print a case by its name. GoogleTest's default dumps the struct's bytes,
+// which include the Name pointer and so change from build to build.
+void PrintTo(const CdcCase &Case, std::ostream *OS) { *OS << Case.Name; }
+
 class CdcTest : public ::testing::TestWithParam<std::tuple<int, CdcCase>> {
 protected:
   std::unique_ptr<Chunker> makeChunker() const {
