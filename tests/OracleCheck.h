@@ -29,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -155,6 +156,41 @@ inline void expectSameTotals(const FingerprintIndex &Oracle,
   EXPECT_EQ(Oracle.evictions(), Candidate.evictions());
   EXPECT_EQ(Oracle.treeEntries(), Candidate.treeEntries());
   EXPECT_EQ(Oracle.memoryBytes(), Candidate.memoryBytes());
+}
+
+/// Builds the index \p Config selects.
+inline std::unique_ptr<FingerprintIndex>
+buildIndex(const DedupIndexConfig &Config) {
+  return makeFingerprintIndex(Config);
+}
+
+/// Replays \p Ops against one index, discarding results and flushes
+/// (for tests that inspect the index state afterwards).
+inline void replay(FingerprintIndex &Index, std::span<const IndexOp> Ops,
+                   ThreadPool &Pool) {
+  std::vector<FlushEvent> Flush;
+  std::vector<LookupResult> Results;
+  for (const IndexOp &Op : Ops) {
+    switch (Op.Kind) {
+    case OpKind::Batch:
+      Results.assign(Op.Fps.size(), LookupResult());
+      Index.processBatch(Op.Fps, Op.Locations, Op.KnownDuplicate, Pool,
+                         Results, Flush);
+      break;
+    case OpKind::Upsert:
+      (void)Index.upsert(Op.Fps[0], Op.Locations[0], Flush);
+      break;
+    case OpKind::Remove:
+      (void)Index.remove(Op.Fps[0]);
+      break;
+    case OpKind::Lookup:
+      (void)Index.lookup(Op.Fps[0]);
+      break;
+    case OpKind::FlushAll:
+      Index.flushAll(Flush);
+      break;
+    }
+  }
 }
 
 /// Replays \p Ops against both indexes, diffing per-op results, flush

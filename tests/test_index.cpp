@@ -568,3 +568,99 @@ TEST(ShardedOracle, BoundedCompositeEvictsIdentically) {
       oracle::randomOps(Rng, 200, /*Universe=*/2048, /*MaxBatch=*/24);
   oracle::replayConfigsAndCompare(Serial, Sharded, Ops);
 }
+
+//===----------------------------------------------------------------------===//
+// Per-shard stats pinned to constants
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Every IndexShardStats field of one shard after the pinned replay.
+struct PinnedShard {
+  std::uint64_t BufferHits, TreeHits, GpuHits, UniqueInserts, Evictions;
+  std::size_t TreeEntries, MemoryBytes;
+  std::uint32_t BinBegin, BinEnd;
+};
+
+struct PinnedCase {
+  unsigned Shards;
+  std::vector<PinnedShard> Stats;
+};
+
+} // namespace
+
+// One fixed op sequence (bounded bins, so evictions fire; GPU-resolved
+// items, so GpuHits moves) replayed at several shard counts. The shard
+// map is pure stats granularity: the constants below partition the
+// same totals differently per shard count and must never move.
+TEST(IndexShardPinned, PerShardStatsAtEveryShardCount) {
+  DedupIndexConfig Config;
+  Config.BinBits = 6;
+  Config.BufferCapacityPerBin = 2;
+  Config.MaxEntriesPerBin = 4;
+  Random Rng(0x5A4D);
+  const std::vector<oracle::IndexOp> Ops = oracle::randomOps(
+      Rng, 250, /*Universe=*/2048, /*MaxBatch=*/32, /*WithKnown=*/true);
+
+  const std::vector<PinnedCase> Cases = {
+      // {BufferHits, TreeHits, GpuHits, UniqueInserts, Evictions,
+      //  TreeEntries, MemoryBytes, BinBegin, BinEnd}
+      {1,
+       {
+           {23, 202, 256, 1693, 1416, 256, 7672, 0, 64},
+       }},
+      {2,
+       {
+           {13, 97, 129, 815, 676, 128, 3892, 0, 32},
+           {10, 105, 127, 878, 740, 128, 3780, 32, 64},
+       }},
+      {4,
+       {
+           {6, 46, 60, 413, 344, 64, 1932, 0, 16},
+           {7, 51, 69, 402, 332, 64, 1960, 16, 32},
+           {4, 46, 63, 439, 370, 64, 1876, 32, 48},
+           {6, 59, 64, 439, 370, 64, 1904, 48, 64},
+       }},
+      {5,
+       {
+           {5, 38, 49, 345, 290, 52, 1540, 0, 13},
+           {7, 38, 51, 326, 269, 52, 1596, 13, 26},
+           {3, 46, 62, 379, 320, 52, 1596, 26, 39},
+           {5, 33, 37, 319, 265, 52, 1512, 39, 52},
+           {3, 47, 57, 324, 272, 48, 1428, 52, 64},
+       }},
+      {8,
+       {
+           {0, 28, 21, 192, 157, 32, 980, 0, 8},
+           {6, 18, 39, 221, 187, 32, 952, 8, 16},
+           {5, 19, 29, 201, 167, 32, 952, 16, 24},
+           {2, 32, 40, 201, 165, 32, 1008, 24, 32},
+           {3, 27, 42, 257, 220, 32, 980, 32, 40},
+           {1, 19, 21, 182, 150, 32, 896, 40, 48},
+           {4, 24, 24, 226, 190, 32, 980, 48, 56},
+           {2, 35, 40, 213, 180, 32, 924, 56, 64},
+       }},
+  };
+  for (const PinnedCase &Case : Cases) {
+    SCOPED_TRACE("shards " + std::to_string(Case.Shards));
+    Config.Shards = Case.Shards;
+    const auto Index = oracle::buildIndex(Config);
+    ThreadPool Pool(4);
+    oracle::replay(*Index, Ops, Pool);
+    ASSERT_EQ(Index->shardCount(), Case.Stats.size());
+    for (unsigned S = 0; S < Index->shardCount(); ++S) {
+      SCOPED_TRACE("shard " + std::to_string(S));
+      const IndexShardStats Got = Index->shardStats(S);
+      const PinnedShard &Want = Case.Stats[S];
+      EXPECT_EQ(Got.BufferHits, Want.BufferHits);
+      EXPECT_EQ(Got.TreeHits, Want.TreeHits);
+      EXPECT_EQ(Got.GpuHits, Want.GpuHits);
+      EXPECT_EQ(Got.UniqueInserts, Want.UniqueInserts);
+      EXPECT_EQ(Got.Evictions, Want.Evictions);
+      EXPECT_EQ(Got.TreeEntries, Want.TreeEntries);
+      EXPECT_EQ(Got.MemoryBytes, Want.MemoryBytes);
+      EXPECT_EQ(Got.BinBegin, Want.BinBegin);
+      EXPECT_EQ(Got.BinEnd, Want.BinEnd);
+    }
+  }
+}
