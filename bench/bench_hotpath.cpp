@@ -2,23 +2,23 @@
 ///
 /// \file
 /// E10 — lock-free hot path: modelled dedup-stage throughput of the
-/// concurrent sharded index plus multi-buffer batched SHA-1 against the
+/// bin-partitioned index plus multi-buffer batched SHA-1 against the
 /// P-Dedupe-style mutexed baseline (SerialIndexing: every index
 /// microsecond also holds the capacity-one IndexLock lane). The bench
 /// drives DedupEngine directly — hash + probe + maintain only, no
 /// chunking overhead, verify or compression — so the CPU-lane charges
 /// isolate exactly the stage the hot-path rework touches.
 ///
-/// Rows sweep the two knobs independently (index: mutexed / serial /
-/// concurrent-8-shard; hash width: 1 / 8) over one fixed vdbench
-/// stream. Functional results — every chunk's outcome and resolved
-/// location, the dup/unique totals — must be bit-identical on every
-/// row; the throughput column is bytes / makespan over the compute
-/// lanes at the paper's 8 hardware threads (CPU pool capacity 8,
-/// IndexLock capacity 1).
+/// Rows sweep the two knobs independently (index: mutexed / serial;
+/// hash width: 1 / 8) over one fixed vdbench stream. Functional
+/// results — every chunk's outcome and resolved location, the
+/// dup/unique totals — must be bit-identical on every row; the
+/// throughput column is bytes / makespan over the compute lanes at the
+/// paper's 8 hardware threads (CPU pool capacity 8, IndexLock
+/// capacity 1).
 ///
 /// Emits BENCH_hotpath.json. Exit status is the acceptance gate:
-/// nonzero unless the concurrent index + width-8 hashing beats the
+/// nonzero unless the lock-free index + width-8 hashing beats the
 /// mutexed width-1 baseline by >= 2.0x dedup-stage throughput, with
 /// zero bit-level change to results. `--smoke` runs a reduced stream
 /// and only the baseline/hotpath pair — the CI (and TSan CI) variant.
@@ -40,9 +40,7 @@ namespace {
 
 struct HotRow {
   const char *Label;
-  bool Mutexed;    ///< SerialIndexing: index time also on IndexLock
-  bool Concurrent; ///< lock-free ConcurrentBinIndex
-  unsigned Shards;
+  bool Mutexed; ///< SerialIndexing: index time also on IndexLock
   unsigned HashWidth;
   std::uint64_t UniqueChunks = 0;
   std::uint64_t DupChunks = 0;
@@ -52,16 +50,14 @@ struct HotRow {
   double ThroughputMBps = 0.0;
 };
 
-HotRow runRow(const char *Label, bool Mutexed, bool Concurrent,
-              unsigned Shards, unsigned HashWidth, const ByteVector &Data) {
+HotRow runRow(const char *Label, bool Mutexed, unsigned HashWidth,
+              const ByteVector &Data) {
   CostModel Model = Platform::paper().Model;
   Model.Cpu.HashBatchWidth = HashWidth;
 
   DedupEngineConfig Config;
   Config.Index.BinBits = 8;
   Config.Index.BufferCapacityPerBin = 8;
-  Config.Index.Concurrent = Concurrent;
-  Config.Index.Shards = Shards;
   Config.SerialIndexing = Mutexed;
 
   ResourceLedger Ledger;
@@ -74,8 +70,6 @@ HotRow runRow(const char *Label, bool Mutexed, bool Concurrent,
   HotRow Row;
   Row.Label = Label;
   Row.Mutexed = Mutexed;
-  Row.Concurrent = Concurrent;
-  Row.Shards = Shards;
   Row.HashWidth = HashWidth;
 
   std::vector<ChunkView> Views;
@@ -126,11 +120,10 @@ bool writeJson(const char *Path, const std::vector<HotRow> &Rows) {
     const HotRow &R = Rows[I];
     std::fprintf(File,
                  "    {\"label\": \"%s\", \"mutexed\": %s, "
-                 "\"concurrent\": %s, \"shards\": %u, \"hash_width\": %u, "
+                 "\"hash_width\": %u, "
                  "\"dedup_stage_sec\": %.9f, \"dedup_mbps\": %.3f, "
                  "\"unique_chunks\": %llu, \"dup_chunks\": %llu}%s\n",
-                 R.Label, R.Mutexed ? "true" : "false",
-                 R.Concurrent ? "true" : "false", R.Shards, R.HashWidth,
+                 R.Label, R.Mutexed ? "true" : "false", R.HashWidth,
                  R.DedupStageSec, R.ThroughputMBps,
                  static_cast<unsigned long long>(R.UniqueChunks),
                  static_cast<unsigned long long>(R.DupChunks),
@@ -146,9 +139,9 @@ bool writeJson(const char *Path, const std::vector<HotRow> &Rows) {
 int main(int Argc, char **Argv) {
   const bool Smoke = Argc > 1 && std::strcmp(Argv[1], "--smoke") == 0;
   banner("E10", Smoke ? "lock-free hot path (smoke: mutexed vs "
-                        "concurrent+width-8)"
-                      : "lock-free sharded index + batched hashing vs "
-                        "mutexed baseline");
+                        "serial+width-8)"
+                      : "lock-free bin-partitioned index + batched "
+                        "hashing vs mutexed baseline");
 
   WorkloadConfig Load;
   Load.BlockSize = 4096;
@@ -159,25 +152,21 @@ int main(int Argc, char **Argv) {
   const ByteVector Data = VdbenchStream(Load).generateAll();
 
   std::vector<HotRow> Rows;
-  Rows.push_back(runRow("mutexed w1", true, false, 1, 1, Data));
-  if (!Smoke) {
-    Rows.push_back(runRow("serial w1", false, false, 1, 1, Data));
-    Rows.push_back(runRow("serial w8", false, false, 1, 8, Data));
-    Rows.push_back(runRow("concurrent w1", false, true, 8, 1, Data));
-  }
-  Rows.push_back(runRow("concurrent w8", false, true, 8, 8, Data));
+  Rows.push_back(runRow("mutexed w1", true, 1, Data));
+  if (!Smoke)
+    Rows.push_back(runRow("serial w1", false, 1, Data));
+  Rows.push_back(runRow("serial w8", false, 8, Data));
 
-  std::printf("%-16s %8s %7s %14s %14s %10s\n", "configuration", "shards",
-              "width", "stage (s)", "dedup MB/s", "speedup");
+  std::printf("%-16s %7s %14s %14s %10s\n", "configuration", "width",
+              "stage (s)", "dedup MB/s", "speedup");
   const HotRow &Baseline = Rows.front();
   for (const HotRow &R : Rows) {
     const double Speedup =
         Baseline.DedupStageSec > 0.0 && R.DedupStageSec > 0.0
             ? Baseline.DedupStageSec / R.DedupStageSec
             : 0.0;
-    std::printf("%-16s %8u %7u %14.4f %14.1f %9.2fx\n", R.Label,
-                R.Concurrent ? R.Shards : 1u, R.HashWidth, R.DedupStageSec,
-                R.ThroughputMBps, Speedup);
+    std::printf("%-16s %7u %14.4f %14.1f %9.2fx\n", R.Label, R.HashWidth,
+                R.DedupStageSec, R.ThroughputMBps, Speedup);
   }
 
   const char *JsonPath = "BENCH_hotpath.json";
@@ -199,12 +188,12 @@ int main(int Argc, char **Argv) {
               "locations for every chunk\n",
               Rows.size());
 
-  // Gate 2: the tentpole's headline number — the lock-free index plus
-  // width-8 hashing must at least double modelled dedup-stage
-  // throughput at the paper's 8 threads.
+  // Gate 2: the headline number — the lock-free index plus width-8
+  // hashing must at least double modelled dedup-stage throughput at
+  // the paper's 8 threads.
   const HotRow &Hot = Rows.back();
   const double Gain = Baseline.DedupStageSec / Hot.DedupStageSec;
-  std::printf("concurrent+width-8 vs mutexed width-1: %.2fx dedup-stage "
+  std::printf("serial+width-8 vs mutexed width-1: %.2fx dedup-stage "
               "throughput\n",
               Gain);
   if (Gain < 2.0) {

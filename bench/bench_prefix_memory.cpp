@@ -68,7 +68,7 @@ int main() {
       Store.mergeRun(Layout.binOf(Fp),
                      ByteSpan(Suffixes.data(), Suffixes.size()), {I});
     }
-    Memory[L] = Store.memoryBytes();
+    Memory[L] = Store.memoryBytes(0, Layout.binCount());
   }
   std::printf("\nmeasured store memory for %zu entries: 1-byte prefix "
               "%zu B, 2-byte prefix %zu B\n",

@@ -188,7 +188,7 @@ ShardRow runShardScaling(unsigned Shards, std::uint64_t Rounds) {
   Row.DupChunks = Report.DupChunks;
   Row.StoredBytes = Report.StoredBytes;
   const DedupEngine *Engine = Service->pipeline().dedupEngine();
-  const FingerprintIndex &Index = Engine->index();
+  const DedupIndex &Index = Engine->index();
   Row.MinShardEntries = ~0ull;
   for (unsigned S = 0; S < Index.shardCount(); ++S) {
     const IndexShardStats Stats = Index.shardStats(S);

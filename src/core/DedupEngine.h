@@ -29,7 +29,7 @@
 #include "fault/Status.h"
 #include "gpu/GpuDevice.h"
 #include "hash/Sha1Batch.h"
-#include "index/FingerprintIndex.h"
+#include "index/DedupIndex.h"
 #include "index/GpuBinTable.h"
 #include "obs/Obs.h"
 #include "sim/CostModel.h"
@@ -115,7 +115,7 @@ public:
   /// Current adaptive offload fraction.
   double offloadFraction() const { return Offload; }
 
-  const FingerprintIndex &index() const { return *Index; }
+  const DedupIndex &index() const { return Index; }
   const GpuBinTable *gpuTable() const { return GpuTable.get(); }
 
 private:
@@ -140,20 +140,13 @@ private:
   /// Nudges the offload fraction toward CPU/GPU busy balance.
   void adaptOffload();
 
-  /// Publishes the concurrent index's CAS-retry delta to the
-  /// padre_index_cas_retry_total counter (no-op when disabled).
-  void publishCasRetries();
-
   CostModel Model;
   ResourceLedger &Ledger;
   ThreadPool &Pool;
   SsdModel &Ssd;
   GpuDevice *Device;
   DedupEngineConfig Config;
-  /// Concrete type picked by makeFingerprintIndex from
-  /// Config.Index.Shards: the plain bin index, or the digest-prefix
-  /// sharded composite the multi-tenant service uses.
-  std::unique_ptr<FingerprintIndex> Index;
+  DedupIndex Index;
   std::unique_ptr<GpuBinTable> GpuTable;
   /// Per-batch scratch (fingerprints, GPU selection, lookup results,
   /// latency accumulators) lives here instead of the heap; reset at the
@@ -176,10 +169,6 @@ private:
   obs::Counter *BinFlushes = nullptr;
   obs::Counter *GpuFallbacks = nullptr;
   obs::Gauge *HashWidthGauge = nullptr;
-  obs::Counter *CasRetryCounter = nullptr;
-  /// Index->casRetries() at the last publish (the counter is a delta
-  /// feed; the index keeps the cumulative truth).
-  std::uint64_t LastCasRetries = 0;
 };
 
 } // namespace padre

@@ -98,9 +98,10 @@ std::size_t BinBuffer::size(std::uint32_t Bin) const {
   return Slots[Bin].Locations.size();
 }
 
-std::size_t BinBuffer::totalEntries() const {
+std::size_t BinBuffer::totalEntries(std::uint32_t BinBegin,
+                                    std::uint32_t BinEnd) const {
   std::size_t Total = 0;
-  for (const Slot &S : Slots)
-    Total += S.Locations.size();
+  for (std::uint32_t Bin = BinBegin; Bin < BinEnd; ++Bin)
+    Total += Slots[Bin].Locations.size();
   return Total;
 }

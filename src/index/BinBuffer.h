@@ -59,8 +59,9 @@ public:
   /// Number of buffered entries in \p Bin.
   std::size_t size(std::uint32_t Bin) const;
 
-  /// Buffered entries across all bins.
-  std::size_t totalEntries() const;
+  /// Buffered entries across bins [\p BinBegin, \p BinEnd).
+  std::size_t totalEntries(std::uint32_t BinBegin,
+                           std::uint32_t BinEnd) const;
 
   std::size_t capacityPerBin() const { return CapacityPerBin; }
 

@@ -45,8 +45,7 @@ CpuBinStore::lookup(std::uint32_t Bin, const std::uint8_t *Suffix) const {
 
 std::size_t
 CpuBinStore::mergeRun(std::uint32_t Bin, ByteSpan Suffixes,
-                      const std::vector<std::uint64_t> &Locations,
-                      ByteVector *EvictedOut) {
+                      const std::vector<std::uint64_t> &Locations) {
   assert(Suffixes.size() == Locations.size() * SuffixBytes &&
          "Run arrays disagree");
   struct Bin &B = Bins[Bin];
@@ -96,10 +95,6 @@ CpuBinStore::mergeRun(std::uint32_t Bin, ByteSpan Suffixes,
       // Ordered erase keeps the bin sorted; eviction only happens on
       // the rare over-capacity flush, so O(n) removal is acceptable.
       const std::size_t Victim = B.Rng.nextBelow(B.Locations.size());
-      if (EvictedOut)
-        EvictedOut->insert(EvictedOut->end(),
-                           B.Suffixes.begin() + Victim * SuffixBytes,
-                           B.Suffixes.begin() + (Victim + 1) * SuffixBytes);
       B.Suffixes.erase(B.Suffixes.begin() + Victim * SuffixBytes,
                        B.Suffixes.begin() + (Victim + 1) * SuffixBytes);
       B.Locations.erase(B.Locations.begin() + Victim);
@@ -136,16 +131,19 @@ std::size_t CpuBinStore::entryCount(std::uint32_t Bin) const {
   return Bins[Bin].Locations.size();
 }
 
-std::size_t CpuBinStore::totalEntries() const {
+std::size_t CpuBinStore::totalEntries(std::uint32_t BinBegin,
+                                      std::uint32_t BinEnd) const {
   std::size_t Total = 0;
-  for (const Bin &B : Bins)
-    Total += B.Locations.size();
+  for (std::uint32_t Bin = BinBegin; Bin < BinEnd; ++Bin)
+    Total += Bins[Bin].Locations.size();
   return Total;
 }
 
-std::size_t CpuBinStore::memoryBytes() const {
+std::size_t CpuBinStore::memoryBytes(std::uint32_t BinBegin,
+                                     std::uint32_t BinEnd) const {
   std::size_t Total = 0;
-  for (const Bin &B : Bins)
-    Total += B.Suffixes.size() + B.Locations.size() * sizeof(std::uint64_t);
+  for (std::uint32_t Bin = BinBegin; Bin < BinEnd; ++Bin)
+    Total += Bins[Bin].Suffixes.size() +
+             Bins[Bin].Locations.size() * sizeof(std::uint64_t);
   return Total;
 }

@@ -42,14 +42,9 @@ public:
 
   /// Merges a sorted drained run (\p Suffixes flat / \p Locations) into
   /// \p Bin, then evicts random entries down to the capacity bound.
-  /// Returns the number of evicted entries. When \p EvictedOut is
-  /// non-null the evicted suffixes are appended to it (flat,
-  /// suffixBytes() per entry) — the concurrent index uses this to
-  /// tombstone the same identities in its slot table, keeping its
-  /// eviction stream bit-identical to the serial oracle's.
+  /// Returns the number of evicted entries.
   std::size_t mergeRun(std::uint32_t Bin, ByteSpan Suffixes,
-                       const std::vector<std::uint64_t> &Locations,
-                       ByteVector *EvictedOut = nullptr);
+                       const std::vector<std::uint64_t> &Locations);
 
   /// Removes one entry matching \p Suffix from \p Bin (garbage
   /// collection of a dead chunk). Returns true if found.
@@ -58,12 +53,15 @@ public:
   /// Entries currently stored in \p Bin.
   std::size_t entryCount(std::uint32_t Bin) const;
 
-  /// Entries across all bins.
-  std::size_t totalEntries() const;
+  /// Entries across bins [\p BinBegin, \p BinEnd).
+  std::size_t totalEntries(std::uint32_t BinBegin,
+                           std::uint32_t BinEnd) const;
 
-  /// Bytes of entry storage across all bins (suffixes + locations) —
-  /// the quantity the prefix-removal optimization shrinks.
-  std::size_t memoryBytes() const;
+  /// Bytes of entry storage (suffixes + locations) across bins
+  /// [\p BinBegin, \p BinEnd) — the quantity the prefix-removal
+  /// optimization shrinks.
+  std::size_t memoryBytes(std::uint32_t BinBegin,
+                          std::uint32_t BinEnd) const;
 
   const BinLayout &layout() const { return Layout; }
 

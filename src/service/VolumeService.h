@@ -4,8 +4,8 @@
 /// The multi-tenant volume service: N tenant volumes behind an
 /// admission/dispatch front-end, all sharing one inline reduction
 /// pipeline, one chunk reference domain and one global fingerprint
-/// index (optionally sharded by digest prefix,
-/// index/ShardedFingerprintIndex.h). This is the ROADMAP's "many
+/// index (index/DedupIndex.h, whose shard map splits its stats by
+/// digest prefix). This is the ROADMAP's "many
 /// users over one dedup domain" tier built from existing parts — the
 /// StoragePool sharing pattern plus three service-only mechanisms:
 ///
@@ -67,8 +67,9 @@ struct TenantConfig {
 
 /// Service-wide knobs.
 struct ServiceConfig {
-  /// Shared pipeline (set Pipeline.Dedup.Index.Shards for the sharded
-  /// global index; obs sinks and fault plans attach here too).
+  /// Shared pipeline (Pipeline.Dedup.Index.Shards sets the per-shard
+  /// index stats granularity; obs sinks and fault plans attach here
+  /// too).
   PipelineConfig Pipeline;
   /// Fingerprint-index memory budget for the prioritized cache tier
   /// (bytes). 0 = unlimited: every tenant stays inline-resident and
@@ -84,13 +85,6 @@ struct ServiceConfig {
   std::uint64_t ProbePeriodRounds = 8;
   /// Run length of the deferred-dedup background sweeps.
   std::uint64_t SweepRunBlocks = 64;
-  /// Convenience switch for the lock-free concurrent index
-  /// (index/ConcurrentBinIndex.h): sets
-  /// Pipeline.Dedup.Index.Concurrent before the pipeline is built, so
-  /// service callers opt in without reaching three configs deep.
-  /// Observationally equivalent to the serial index on the service's
-  /// single-threaded dispatch loop (tests/test_service.cpp).
-  bool ConcurrentIndex = false;
   /// Coalesced dispatch: each fair-share round's inline runs are
   /// ingested as ONE combined pipeline write
   /// (ReductionPipeline::writeV), so batches span runs and fill the

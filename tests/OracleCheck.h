@@ -1,26 +1,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Serial-oracle property-test harness for fingerprint indexes: replay
-/// one operation sequence against two FingerprintIndex implementations
-/// and diff everything observable — per-op outcomes (including buffer
-/// depths and duplicate locations), flush-event streams, cumulative
-/// counters, occupancy, and the CPU-lane ledger charge each batch's
-/// outcomes would produce in the dedup engine.
+/// Oracle property-test harness for the fingerprint index: replay one
+/// operation sequence against two DedupIndex configurations and diff
+/// everything observable — per-op outcomes (including buffer depths and
+/// duplicate locations), flush-event streams, cumulative counters,
+/// occupancy, and the CPU-lane ledger charge each batch's outcomes
+/// would produce in the dedup engine.
 ///
-/// The harness is how "observationally equivalent to DedupIndex" is
-/// made a checkable property instead of a comment: test_hotpath drives
-/// it with the concurrent index as candidate, test_index with the
-/// prefix-sharded composite, and test_service with the service-layer
-/// index configuration. Any divergence fails with the op number via
-/// SCOPED_TRACE, so a shrinking seed hunt is a one-line loop.
+/// The harness is how "the shard map is pure stats granularity" is made
+/// a checkable property instead of a comment: test_index replays
+/// Shards = 1 against Shards = K on several op mixes. Any divergence
+/// fails with the op number via SCOPED_TRACE, so a shrinking seed hunt
+/// is a one-line loop.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PADRE_TESTS_ORACLECHECK_H
 #define PADRE_TESTS_ORACLECHECK_H
 
-#include "index/FingerprintIndex.h"
+#include "index/DedupIndex.h"
 #include "sim/CostModel.h"
 #include "util/Bytes.h"
 #include "util/Random.h"
@@ -145,10 +144,9 @@ inline void expectSameFlushes(const std::vector<FlushEvent> &Expected,
 }
 
 /// Diffs every cumulative counter and occupancy total two indexes
-/// expose. Epoch/CasRetries are deliberately excluded — they are
-/// implementation-progress signals, not semantics.
-inline void expectSameTotals(const FingerprintIndex &Oracle,
-                             const FingerprintIndex &Candidate) {
+/// expose.
+inline void expectSameTotals(const DedupIndex &Oracle,
+                             const DedupIndex &Candidate) {
   EXPECT_EQ(Oracle.bufferHits(), Candidate.bufferHits());
   EXPECT_EQ(Oracle.treeHits(), Candidate.treeHits());
   EXPECT_EQ(Oracle.gpuHits(), Candidate.gpuHits());
@@ -159,14 +157,14 @@ inline void expectSameTotals(const FingerprintIndex &Oracle,
 }
 
 /// Builds the index \p Config selects.
-inline std::unique_ptr<FingerprintIndex>
+inline std::unique_ptr<DedupIndex>
 buildIndex(const DedupIndexConfig &Config) {
-  return makeFingerprintIndex(Config);
+  return std::make_unique<DedupIndex>(Config);
 }
 
 /// Replays \p Ops against one index, discarding results and flushes
 /// (for tests that inspect the index state afterwards).
-inline void replay(FingerprintIndex &Index, std::span<const IndexOp> Ops,
+inline void replay(DedupIndex &Index, std::span<const IndexOp> Ops,
                    ThreadPool &Pool) {
   std::vector<FlushEvent> Flush;
   std::vector<LookupResult> Results;
@@ -195,8 +193,7 @@ inline void replay(FingerprintIndex &Index, std::span<const IndexOp> Ops,
 
 /// Replays \p Ops against both indexes, diffing per-op results, flush
 /// events, modelled ledger charges, and running totals after every op.
-inline void replayAndCompare(FingerprintIndex &Oracle,
-                             FingerprintIndex &Candidate,
+inline void replayAndCompare(DedupIndex &Oracle, DedupIndex &Candidate,
                              std::span<const IndexOp> Ops,
                              ThreadPool &Pool) {
   const CostModel Model;
@@ -256,18 +253,15 @@ inline void replayAndCompare(FingerprintIndex &Oracle,
 }
 
 /// Builds both indexes from configs and replays (the common shape:
-/// oracle = serial config, candidate = same semantics via another
-/// implementation).
+/// oracle = Shards 1, candidate = the same config at Shards K).
 inline void replayConfigsAndCompare(const DedupIndexConfig &OracleConfig,
                                     const DedupIndexConfig &CandidateConfig,
                                     std::span<const IndexOp> Ops,
                                     unsigned Threads = 4) {
-  const std::unique_ptr<FingerprintIndex> Oracle =
-      makeFingerprintIndex(OracleConfig);
-  const std::unique_ptr<FingerprintIndex> Candidate =
-      makeFingerprintIndex(CandidateConfig);
+  DedupIndex Oracle(OracleConfig);
+  DedupIndex Candidate(CandidateConfig);
   ThreadPool Pool(Threads);
-  replayAndCompare(*Oracle, *Candidate, Ops, Pool);
+  replayAndCompare(Oracle, Candidate, Ops, Pool);
 }
 
 } // namespace oracle

@@ -1,121 +1,33 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The lock-free hot-path proof suite (`ctest -L hotpath`): the
-/// concurrent bin index and the batched-hash engine path are accepted
-/// only because these tests hold.
+/// The hot-path suite (`ctest -L hotpath`): the batched-hash engine
+/// path and the arena-backed batch scratch are accepted only because
+/// these tests hold.
 ///
-/// Three layers of evidence:
-///  1. Property tests — OracleCheck.h replays random op sequences
-///     against the serial DedupIndex oracle and the concurrent index,
-///     diffing outcomes, flush events, counters and modelled ledger
-///     charges after every op (unbounded, bounded-with-evictions, and
-///     GPU-resolved variants, across shard counts).
-///  2. Bit-identity goldens — full pipeline runs must produce identical
+///  1. Bit-identity goldens — full pipeline runs must produce identical
 ///     chunk outcomes, recipes, stored bytes and read-back streams at
-///     every index shard count and every batched-hash width; the
-///     concurrent index must also charge bit-identical CPU/SSD busy
-///     time (same outcomes => same ledger).
-///  3. Concurrency stress — N writer threads hammer one index with
-///     insert/probe/evict interleavings (run under TSan in CI);
-///     membership, locations and conservation invariants must hold
-///     after the dust settles.
+///     every batched-hash width, with strictly cheaper CPU charges for
+///     wider lanes and untouched SSD traffic.
+///  2. Allocator poisoning — arena reset + reuse across batches must
+///     never leak stale chunk refs into recipes.
 ///
-/// Plus the allocator-poisoning pipeline check: arena reset + reuse
-/// across batches must never leak stale chunk refs into recipes.
+/// The index's own equivalence checks (shard counts, worker counts,
+/// pinned per-shard stats) live in tests/test_index.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "OracleCheck.h"
-
 #include "core/ReductionPipeline.h"
-#include "index/ConcurrentBinIndex.h"
-#include "index/DedupIndex.h"
 #include "workload/VdbenchStream.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <memory>
-#include <thread>
 #include <vector>
 
 using namespace padre;
-using oracle::fingerprintOf;
-
-namespace {
-
-DedupIndexConfig serialConfig(unsigned BinBits = 8,
-                              std::size_t BufferCap = 4,
-                              std::size_t MaxPerBin = 0) {
-  DedupIndexConfig Config;
-  Config.BinBits = BinBits;
-  Config.BufferCapacityPerBin = BufferCap;
-  Config.MaxEntriesPerBin = MaxPerBin;
-  return Config;
-}
-
-DedupIndexConfig concurrentConfig(unsigned Shards, unsigned BinBits = 8,
-                                  std::size_t BufferCap = 4,
-                                  std::size_t MaxPerBin = 0) {
-  DedupIndexConfig Config = serialConfig(BinBits, BufferCap, MaxPerBin);
-  Config.Concurrent = true;
-  Config.Shards = Shards;
-  return Config;
-}
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
-// 1. Oracle property tests: serial DedupIndex vs ConcurrentBinIndex
-//===----------------------------------------------------------------------===//
-
-class OracleShardTest : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(OracleShardTest, UnboundedRandomOps) {
-  Random Rng(0xC0FFEE ^ GetParam());
-  const std::vector<oracle::IndexOp> Ops =
-      oracle::randomOps(Rng, 300, /*Universe=*/512);
-  oracle::replayConfigsAndCompare(serialConfig(),
-                                  concurrentConfig(GetParam()), Ops);
-}
-
-TEST_P(OracleShardTest, BoundedEvictionParity) {
-  // Tiny bins + a hard per-bin cap: drains and random-replacement
-  // evictions dominate. Victim identities must replay the serial
-  // per-bin Rng stream bit-for-bit.
-  Random Rng(0xBADBEEF ^ GetParam());
-  const std::vector<oracle::IndexOp> Ops =
-      oracle::randomOps(Rng, 250, /*Universe=*/4096, /*MaxBatch=*/32);
-  oracle::replayConfigsAndCompare(
-      serialConfig(6, /*BufferCap=*/2, /*MaxPerBin=*/4),
-      concurrentConfig(GetParam(), 6, 2, 4), Ops);
-}
-
-TEST_P(OracleShardTest, GpuResolvedBatches) {
-  Random Rng(0x6B75 ^ GetParam());
-  const std::vector<oracle::IndexOp> Ops = oracle::randomOps(
-      Rng, 200, /*Universe=*/512, /*MaxBatch=*/48, /*WithKnown=*/true);
-  oracle::replayConfigsAndCompare(serialConfig(),
-                                  concurrentConfig(GetParam()), Ops);
-}
-
-INSTANTIATE_TEST_SUITE_P(ShardCounts, OracleShardTest,
-                         ::testing::Values(1u, 2u, 4u, 8u));
-
-TEST(OracleEquivalence, SingleBinPathologicalStream) {
-  // Every fingerprint in one bin: maximal drain pressure and the
-  // deepest buffer scans. BinBits=1 keeps two bins; identities are
-  // drawn small so collisions recur fast.
-  Random Rng(7);
-  const std::vector<oracle::IndexOp> Ops =
-      oracle::randomOps(Rng, 200, /*Universe=*/64, /*MaxBatch=*/16);
-  oracle::replayConfigsAndCompare(serialConfig(1, 2, 8),
-                                  concurrentConfig(2, 1, 2, 8), Ops);
-}
-
-//===----------------------------------------------------------------------===//
-// 2. Bit-identity goldens: pipeline results across widths and shards
+// 1. Bit-identity goldens: pipeline results across hash widths
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -128,15 +40,12 @@ struct GoldenRun {
   double SsdBusySec = 0.0;
 };
 
-GoldenRun runPipeline(const ByteVector &Data, unsigned HashWidth,
-                      bool Concurrent, unsigned Shards) {
+GoldenRun runPipeline(const ByteVector &Data, unsigned HashWidth) {
   Platform Plat = Platform::paper();
   Plat.Model.Cpu.HashBatchWidth = HashWidth;
   PipelineConfig Config;
   Config.Dedup.Index.BinBits = 8;
   Config.Dedup.Index.BufferCapacityPerBin = 8;
-  Config.Dedup.Index.Concurrent = Concurrent;
-  Config.Dedup.Index.Shards = Shards;
   ReductionPipeline Pipeline(Plat, Config);
   Pipeline.write(ByteSpan(Data.data(), Data.size()));
   Pipeline.finish();
@@ -175,12 +84,12 @@ ByteVector goldenStream() {
 TEST(Goldens, HashWidthSweepBitIdenticalResults) {
   const ByteVector Data = goldenStream();
   const GoldenRun Baseline =
-      runPipeline(Data, /*HashWidth=*/1, /*Concurrent=*/false, 1);
+      runPipeline(Data, /*HashWidth=*/1);
   ASSERT_FALSE(Baseline.ReadBack.empty());
   EXPECT_EQ(Baseline.ReadBack.size(), Data.size());
   for (unsigned Width : {2u, 4u, 8u}) {
     SCOPED_TRACE("width " + std::to_string(Width));
-    const GoldenRun Run = runPipeline(Data, Width, false, 1);
+    const GoldenRun Run = runPipeline(Data, Width);
     expectSameFunctionalResults(Baseline, Run);
     // Wider lanes charge strictly less CPU time for the same work —
     // the whole point of the multi-buffer path. SSD traffic is
@@ -190,201 +99,8 @@ TEST(Goldens, HashWidthSweepBitIdenticalResults) {
   }
 }
 
-TEST(Goldens, ConcurrentIndexBitIdenticalIncludingCharges) {
-  const ByteVector Data = goldenStream();
-  for (unsigned Width : {1u, 8u}) {
-    SCOPED_TRACE("width " + std::to_string(Width));
-    const GoldenRun Serial = runPipeline(Data, Width, false, 1);
-    for (unsigned Shards : {1u, 2u, 4u, 8u}) {
-      SCOPED_TRACE("shards " + std::to_string(Shards));
-      const GoldenRun Run = runPipeline(Data, Width, true, Shards);
-      expectSameFunctionalResults(Serial, Run);
-      // Same outcomes => same modelled charges, bit for bit: swapping
-      // the index implementation must never move the ledger.
-      EXPECT_DOUBLE_EQ(Serial.CpuBusySec, Run.CpuBusySec);
-      EXPECT_DOUBLE_EQ(Serial.SsdBusySec, Run.SsdBusySec);
-    }
-  }
-}
-
-TEST(Goldens, ShardedCompositeMatchesConcurrent) {
-  // The pre-existing sequential sharded composite and the concurrent
-  // index agree with each other too (both equal the serial oracle).
-  const ByteVector Data = goldenStream();
-  const GoldenRun Sharded = runPipeline(Data, 1, false, 4);
-  const GoldenRun Concurrent = runPipeline(Data, 1, true, 4);
-  expectSameFunctionalResults(Sharded, Concurrent);
-}
-
 //===----------------------------------------------------------------------===//
-// 3. Concurrency stress (TSan-run in CI)
-//===----------------------------------------------------------------------===//
-
-TEST(Stress, DisjointWritersExactMembership) {
-  // N writers, disjoint identity ranges, unbounded bins: the final
-  // membership is fully determined, so every fingerprint must resolve
-  // to exactly the location its writer inserted.
-  constexpr unsigned Writers = 4;
-  constexpr std::uint64_t PerWriter = 2000;
-  ConcurrentBinIndex Index(concurrentConfig(4));
-  std::vector<std::thread> Threads;
-  for (unsigned W = 0; W < Writers; ++W) {
-    Threads.emplace_back([&Index, W] {
-      std::vector<FlushEvent> Flush;
-      for (std::uint64_t V = W * PerWriter; V < (W + 1) * PerWriter; ++V) {
-        const LookupResult Result =
-            Index.upsert(fingerprintOf(V), V, Flush);
-        ASSERT_EQ(Result.Outcome, LookupOutcome::Unique);
-        // Immediate read-your-write, racing the other writers.
-        const auto Found = Index.lookup(fingerprintOf(V));
-        ASSERT_TRUE(Found.has_value());
-        ASSERT_EQ(*Found, V);
-      }
-    });
-  }
-  for (std::thread &T : Threads)
-    T.join();
-  EXPECT_EQ(Index.uniqueInserts(), Writers * PerWriter);
-  EXPECT_EQ(Index.evictions(), 0u);
-  std::vector<FlushEvent> Flush;
-  Index.flushAll(Flush);
-  EXPECT_EQ(Index.treeEntries(), Writers * PerWriter);
-  for (std::uint64_t V = 0; V < Writers * PerWriter; ++V) {
-    const auto Found = Index.lookup(fingerprintOf(V));
-    ASSERT_TRUE(Found.has_value()) << "lost identity " << V;
-    EXPECT_EQ(*Found, V);
-  }
-}
-
-TEST(Stress, MixedOpsConservationInvariant) {
-  // Overlapping universes, bounded bins, random insert/probe/remove
-  // interleavings: outcomes are timing-dependent, but conservation is
-  // not — every entry now live was inserted and neither evicted nor
-  // removed.
-  constexpr unsigned Workers = 4;
-  ConcurrentBinIndex Index(
-      concurrentConfig(4, /*BinBits=*/6, /*BufferCap=*/4, /*MaxPerBin=*/8));
-  std::atomic<std::uint64_t> Removed{0};
-  std::vector<std::thread> Threads;
-  for (unsigned W = 0; W < Workers; ++W) {
-    Threads.emplace_back([&Index, &Removed, W] {
-      Random Rng(0xABCD + W);
-      std::vector<FlushEvent> Flush;
-      for (int I = 0; I < 4000; ++I) {
-        const Fingerprint Fp = fingerprintOf(Rng.nextBelow(1024));
-        switch (Rng.nextBelow(4)) {
-        case 0:
-        case 1:
-          (void)Index.upsert(Fp, Rng.nextU64(), Flush);
-          break;
-        case 2:
-          (void)Index.lookup(Fp);
-          break;
-        case 3:
-          if (Index.remove(Fp))
-            Removed.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-      }
-    });
-  }
-  for (std::thread &T : Threads)
-    T.join();
-  const std::size_t EntryBytes = Index.layout().cpuEntryBytes();
-  const std::size_t Live = Index.memoryBytes() / EntryBytes;
-  EXPECT_EQ(Index.memoryBytes() % EntryBytes, 0u);
-  EXPECT_EQ(Index.uniqueInserts(),
-            Index.evictions() + Removed.load() + Live);
-  // Post-stress sanity: the index still works single-threaded.
-  std::vector<FlushEvent> Flush;
-  Index.flushAll(Flush);
-  const Fingerprint Probe = fingerprintOf(999999);
-  EXPECT_EQ(Index.upsert(Probe, 42, Flush).Outcome, LookupOutcome::Unique);
-  EXPECT_EQ(Index.lookup(Probe), std::optional<std::uint64_t>(42));
-}
-
-TEST(Stress, ReadersNeverLoseEntriesDuringGrowth) {
-  // One writer forces repeated table growth (few bins, many uniques);
-  // readers continuously probe already-published identities. RCU-lite
-  // retirement means a probe must never miss an entry that was
-  // published before it started.
-  constexpr std::uint64_t Total = 20000;
-  ConcurrentBinIndex Index(concurrentConfig(1, /*BinBits=*/4,
-                                            /*BufferCap=*/2));
-  std::atomic<std::uint64_t> Published{0};
-  std::atomic<bool> Stop{false};
-  std::vector<std::thread> Readers;
-  for (unsigned R = 0; R < 3; ++R) {
-    Readers.emplace_back([&Index, &Published, &Stop, R] {
-      Random Rng(0x5EED + R);
-      while (!Stop.load(std::memory_order_acquire)) {
-        const std::uint64_t Limit =
-            Published.load(std::memory_order_acquire);
-        if (Limit == 0)
-          continue;
-        const std::uint64_t V = Rng.nextBelow(Limit);
-        const auto Found = Index.lookup(fingerprintOf(V));
-        ASSERT_TRUE(Found.has_value()) << "growth lost identity " << V;
-        ASSERT_EQ(*Found, V);
-      }
-    });
-  }
-  {
-    std::vector<FlushEvent> Flush;
-    for (std::uint64_t V = 0; V < Total; ++V) {
-      (void)Index.upsert(fingerprintOf(V), V, Flush);
-      Published.store(V + 1, std::memory_order_release);
-    }
-  }
-  Stop.store(true, std::memory_order_release);
-  for (std::thread &T : Readers)
-    T.join();
-  EXPECT_EQ(Index.uniqueInserts(), Total);
-  // Growth happened: with 16 bins and 20k entries the initial tables
-  // cannot have held everything.
-  EXPECT_GT(Index.treeEntries() + Total / 100, Total / 2);
-}
-
-TEST(Stress, ParallelBatchesThroughEngineInterface) {
-  // processBatch from multiple threads at once — beyond what the
-  // engine does today (one batch at a time), exactly what the
-  // concurrent index exists to make legal.
-  constexpr unsigned Drivers = 3;
-  ConcurrentBinIndex Index(concurrentConfig(4, 8, 4));
-  std::vector<std::thread> Threads;
-  for (unsigned D = 0; D < Drivers; ++D) {
-    Threads.emplace_back([&Index, D] {
-      ThreadPool Pool(2);
-      Random Rng(0xD00D + D);
-      for (int Round = 0; Round < 30; ++Round) {
-        const std::size_t Size = 1 + Rng.nextBelow(64);
-        std::vector<Fingerprint> Fps;
-        std::vector<std::uint64_t> Locations;
-        for (std::size_t I = 0; I < Size; ++I) {
-          Fps.push_back(fingerprintOf(Rng.nextBelow(2048)));
-          Locations.push_back(Rng.nextU64());
-        }
-        std::vector<LookupResult> Results(Size);
-        std::vector<FlushEvent> Flush;
-        Index.processBatch(Fps, Locations, {}, Pool, Results, Flush);
-        for (const LookupResult &R : Results)
-          ASSERT_NE(R.Outcome, LookupOutcome::DupGpu);
-      }
-    });
-  }
-  for (std::thread &T : Threads)
-    T.join();
-  // Conservation, again: batches insert uniques, nothing removes.
-  const std::size_t EntryBytes = Index.layout().cpuEntryBytes();
-  EXPECT_EQ(Index.uniqueInserts(),
-            Index.evictions() + Index.memoryBytes() / EntryBytes);
-  EXPECT_GT(Index.shardStats(0).Epoch + Index.shardStats(1).Epoch +
-                Index.shardStats(2).Epoch + Index.shardStats(3).Epoch,
-            0u);
-}
-
-//===----------------------------------------------------------------------===//
-// Arena reuse on the pipeline hot path
+// 2. Arena reuse on the pipeline hot path
 //===----------------------------------------------------------------------===//
 
 TEST(ArenaHotpath, RecipeStableAcrossArenaReuse) {
@@ -396,7 +112,6 @@ TEST(ArenaHotpath, RecipeStableAcrossArenaReuse) {
   Plat.Model.Cpu.HashBatchWidth = 4;
   PipelineConfig Config;
   Config.Dedup.Index.BinBits = 8;
-  Config.Dedup.Index.Concurrent = true;
   Config.Dedup.Index.Shards = 4;
   Config.BatchChunks = 16; // small batches -> frequent resets
   ReductionPipeline Pipeline(Plat, Config);

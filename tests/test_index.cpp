@@ -3,7 +3,8 @@
 /// \file
 /// Tests for the index module: bin layout arithmetic (prefix removal),
 /// bin buffer semantics, bin tree merge/eviction, GPU bin table, and
-/// the lock-free batch facade including flush events.
+/// the lock-free batch facade including flush events, and the shard
+/// map's stats granularity (oracle replays and pinned per-shard stats).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,7 +14,6 @@
 #include "index/BinLayout.h"
 #include "index/CpuBinStore.h"
 #include "index/DedupIndex.h"
-#include "index/ShardedFingerprintIndex.h"
 #include "index/GpuBinTable.h"
 #include "util/Random.h"
 
@@ -170,7 +170,12 @@ TEST_F(BufferFixture, DrainSortsAndEmpties) {
 TEST_F(BufferFixture, TotalEntriesAcrossBins) {
   for (std::uint64_t I = 0; I < 10; ++I)
     insertFp(fingerprintOf(I), I);
-  EXPECT_EQ(Buffer.totalEntries(), 10u);
+  EXPECT_EQ(Buffer.totalEntries(0, Layout.binCount()), 10u);
+  // Disjoint bin ranges partition the total.
+  const std::uint32_t Mid = Layout.binCount() / 3;
+  EXPECT_EQ(Buffer.totalEntries(0, Mid) +
+                Buffer.totalEntries(Mid, Layout.binCount()),
+            10u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -206,7 +211,7 @@ TEST_F(StoreFixture, MergeAndLookupManyEntries) {
   CpuBinStore Store(Layout, 0, 1);
   for (std::uint64_t I = 0; I < 500; ++I)
     insertOne(Store, fingerprintOf(I), I);
-  EXPECT_EQ(Store.totalEntries(), 500u);
+  EXPECT_EQ(Store.totalEntries(0, Layout.binCount()), 500u);
   for (std::uint64_t I = 0; I < 500; ++I) {
     const auto Hit = lookupOne(Store, fingerprintOf(I));
     ASSERT_TRUE(Hit.has_value()) << "missing entry " << I;
@@ -237,7 +242,8 @@ TEST_F(StoreFixture, CapacityEvictsRandomEntries) {
     insertOne(Store, fingerprintOf(I), I);
   for (std::uint32_t Bin = 0; Bin < Layout.binCount(); ++Bin)
     EXPECT_LE(Store.entryCount(Bin), 2u);
-  EXPECT_LE(Store.totalEntries(), 2u * Layout.binCount());
+  EXPECT_LE(Store.totalEntries(0, Layout.binCount()),
+            2u * Layout.binCount());
   // Some lookups must now miss (the paper accepts missed duplicates).
   std::size_t Misses = 0;
   for (std::uint64_t I = 0; I < 200; ++I)
@@ -262,7 +268,9 @@ TEST_F(StoreFixture, MemoryBytesReflectsPrefixTruncation) {
     }
   }
   // 16 bin bits store 18-byte suffixes; 8 bin bits store 19-byte ones.
-  EXPECT_EQ(Wide.memoryBytes() - Narrow.memoryBytes(), 100u);
+  EXPECT_EQ(Wide.memoryBytes(0, Wide.layout().binCount()) -
+                Narrow.memoryBytes(0, Narrow.layout().binCount()),
+            100u);
 }
 
 TEST_F(StoreFixture, DuplicateRunsMergeStably) {
@@ -535,13 +543,12 @@ TEST_F(IndexFixture, MemoryBoundedIndexMissesSomeDuplicates) {
 }
 
 //===----------------------------------------------------------------------===//
-// Oracle replay: the sharded composite against the plain index
+// Oracle replay: Shards = K against Shards = 1
 //===----------------------------------------------------------------------===//
 
 TEST(ShardedOracle, CompositeMatchesPlainIndexUnderRandomOps) {
-  // The same OracleCheck harness the hotpath suite drives against the
-  // concurrent index, applied to the sequential sharded composite:
-  // shard count must be a pure layout decision.
+  // The OracleCheck harness replays one op sequence at Shards = 1 and
+  // Shards = K: the shard map must be pure stats granularity.
   DedupIndexConfig Serial;
   Serial.BinBits = 8;
   Serial.BufferCapacityPerBin = 4;
@@ -566,6 +573,38 @@ TEST(ShardedOracle, BoundedCompositeEvictsIdentically) {
   Random Rng(0xE71C);
   const std::vector<oracle::IndexOp> Ops =
       oracle::randomOps(Rng, 200, /*Universe=*/2048, /*MaxBatch=*/24);
+  oracle::replayConfigsAndCompare(Serial, Sharded, Ops);
+}
+
+TEST(ShardedOracle, GpuResolvedBatches) {
+  // ~1/8 of batch items arrive GPU-resolved: the DupGpu bypass must
+  // count into the owning shard and leave the caller's location alone.
+  DedupIndexConfig Serial;
+  Serial.BinBits = 8;
+  Serial.BufferCapacityPerBin = 4;
+  for (unsigned Shards : {2u, 4u, 8u}) {
+    SCOPED_TRACE("shards " + std::to_string(Shards));
+    DedupIndexConfig Sharded = Serial;
+    Sharded.Shards = Shards;
+    Random Rng(0x6B75 ^ Shards);
+    const std::vector<oracle::IndexOp> Ops = oracle::randomOps(
+        Rng, 200, /*Universe=*/512, /*MaxBatch=*/48, /*WithKnown=*/true);
+    oracle::replayConfigsAndCompare(Serial, Sharded, Ops);
+  }
+}
+
+TEST(ShardedOracle, SingleBinPathologicalStream) {
+  // Every fingerprint in one of two bins: maximal drain pressure and
+  // the deepest buffer scans, with each shard owning a single bin.
+  DedupIndexConfig Serial;
+  Serial.BinBits = 1;
+  Serial.BufferCapacityPerBin = 2;
+  Serial.MaxEntriesPerBin = 8;
+  DedupIndexConfig Sharded = Serial;
+  Sharded.Shards = 2;
+  Random Rng(7);
+  const std::vector<oracle::IndexOp> Ops =
+      oracle::randomOps(Rng, 200, /*Universe=*/64, /*MaxBatch=*/16);
   oracle::replayConfigsAndCompare(Serial, Sharded, Ops);
 }
 

@@ -1046,7 +1046,7 @@ int commandServe(const Options &OptsIn) {
 
   const DedupEngine *Engine = Service.pipeline().dedupEngine();
   if (Engine && Engine->index().shardCount() > 1) {
-    const FingerprintIndex &Index = Engine->index();
+    const DedupIndex &Index = Engine->index();
     std::printf("\n%-7s %12s %12s %12s %12s\n", "shard", "bins",
                 "entries", "hits", "memory");
     for (unsigned S = 0; S < Index.shardCount(); ++S) {
