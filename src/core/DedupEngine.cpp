@@ -157,7 +157,7 @@ fault::Status DedupEngine::processBatch(
       BatchArena.allocateFilled<LookupResult>(Count, LookupResult());
   std::vector<FlushEvent> Flushes;
   Index.processBatch(Fingerprints, NewLocations, KnownDuplicate, Pool,
-                      Results, Flushes);
+                     Results, Flushes);
 
   // Charge the CPU index costs from the functional outcome: buffer
   // hits are cheap (temporal locality, §3.3), everything else pays a
