@@ -88,9 +88,14 @@ struct RunResult {
   backend::SplitterStats Stats;
 };
 
+/// Runs \p Data through one pipeline; \p Obs optionally traces and
+/// meters the run (the sinks must outlive the call's use of them).
 RunResult runOnce(const PipelineConfig &BaseConfig, const ByteVector &Data,
-                  const RunShape &Shape = RunShape()) {
+                  const RunShape &Shape = RunShape(),
+                  const obs::ObsSinks &Obs = obs::ObsSinks()) {
   PipelineConfig Config = BaseConfig;
+  Config.Trace = Obs.Trace;
+  Config.Metrics = Obs.Metrics;
   std::unique_ptr<fault::FaultInjector> Injector;
   if (Shape.FaultSpec) {
     fault::FaultPlan Plan;
@@ -199,13 +204,19 @@ void expectBitIdentical(const RunResult &Oracle, const RunResult &Candidate) {
 constexpr double Fractions[] = {0.0, 0.25, 0.5, 0.75, 1.0};
 
 /// One point of the compress stage's mode x ingest-path matrix, with
-/// the pinnedSummary the classic single-engine stage produced for it.
+/// its pinnedSummary. The mode placements carry the values the classic
+/// single-engine stage produced; the split cases (a non-default
+/// \p Backend) carry the values recorded when each device share still
+/// ran through a separate backend class.
 struct PinnedCase {
   const char *Name;
   PipelineMode Mode;
   bool CompressEnabled;
   RunShape Shape;
   const char *Expected;
+  backend::BackendConfig Backend = backend::BackendConfig();
+  /// Batches large enough for several sub-batches per device share.
+  std::size_t BatchChunks = PipelineConfig().BatchChunks;
 };
 
 const PinnedCase PinnedCases[] = {
@@ -295,6 +306,35 @@ const PinnedCase PinnedCases[] = {
      "ssd=0x1.f23245a1cac08p+12/0x1.f2325999999a3p+12 "
      "lock=0x0p+0/0x0p+0 "
      "wall=0x1.9c0be16723234p+14"},
+    {"fixed_half",
+     PipelineMode::CpuOnly,
+     true,
+     {},
+     "recipe=ac568e92cc960673 "
+     "blocks=9d15bbf402bd00dd "
+     "stored=1089054 "
+     "cpu=0x1.15af4147ae148p+16/0x1.15af4147ae148p+13 "
+     "gpu=0x1.3792d0e560419p+11/0x1.3792d42c3c9fp+11 "
+     "pcie=0x1.b9072b020c49cp+7/0x1.b906e978d4fep+7 "
+     "ssd=0x1.f1e92f1a9fbe8p+12/0x1.f1e940000000ap+12 "
+     "lock=0x0p+0/0x0p+0 "
+     "wall=0x1.08f29f62b6aedp+14",
+     {1, backend::SplitMode::Fixed, 0.5}},
+    {"auto_gpu2",
+     PipelineMode::CpuOnly,
+     true,
+     {},
+     "recipe=ac568e92cc960673 "
+     "blocks=c40a82b28014f087 "
+     "stored=1090516 "
+     "cpu=0x1.7be879db22d0ep+15/0x1.7be879db22d0ep+12 "
+     "gpu=0x1.2647eb851eb85p+12/0x1.2647e90ff971bp+12 "
+     "pcie=0x1.9cff7ced91687p+8/0x1.9cff6c8b43958p+8 "
+     "ssd=0x1.ee7249ba5e354p+12/0x1.ee725999999a3p+12 "
+     "lock=0x0p+0/0x0p+0 "
+     "wall=0x1.020ed1758e221p+14",
+     {2, backend::SplitMode::Auto},
+     2048},
 };
 
 /// gtest prints parameters in test listings; the name is stable where
@@ -304,6 +344,8 @@ void PrintTo(const PinnedCase &Case, std::ostream *Os) { *Os << Case.Name; }
 PipelineConfig pinnedConfig(const PinnedCase &Case) {
   PipelineConfig Config = modeConfig(Case.Mode);
   Config.CompressEnabled = Case.CompressEnabled;
+  Config.Backend = Case.Backend;
+  Config.BatchChunks = Case.BatchChunks;
   return Config;
 }
 
@@ -313,7 +355,8 @@ class BackendPinned : public ::testing::TestWithParam<PinnedCase> {};
 
 //===----------------------------------------------------------------------===//
 // Pinned constants: every PipelineMode's compress stage, the store-raw
-// loop and device-fault fallback, held to the classic stage's values
+// loop and device-fault fallback, held to the classic stage's values;
+// a Fixed and an Auto split held to the backend-class values
 //===----------------------------------------------------------------------===//
 
 TEST_P(BackendPinned, MatchesClassicStage) {
@@ -462,8 +505,38 @@ TEST(BackendMultiGpu, SliceRecordsFollowPipelining) {
     Config.BatchChunks = 2048;
     // Unpipelined: one record per device.
     EXPECT_EQ(runOnce(Config, Data).Stats.DeviceSlices, Devices);
+    // The observable surface OBSERVABILITY.md documents: a Fixed-0.5
+    // run, traced and metered, names its device span after the device
+    // count and exports both shares and both slice-time histograms.
+    Config.Backend.Fraction = 0.5;
+    obs::TraceRecorder Trace;
+    obs::MetricsRegistry Metrics;
+    const RunResult Half = runOnce(Config, Data, RunShape(), {&Trace, &Metrics});
+    const std::string DevSpan = Devices == 1 ? "backend:gpu" : "backend:gpu2";
+    std::size_t CpuSpans = 0, DevSpans = 0;
+    for (const obs::TraceSpan &Span : Trace.spans()) {
+      CpuSpans += std::string(Span.Name) == "backend:cpu";
+      DevSpans += Span.Name == DevSpan;
+    }
+    EXPECT_GT(CpuSpans, 0u);
+    EXPECT_GT(DevSpans, 0u);
+    const obs::Gauge *GpuShare =
+        Metrics.findGauge("padre_backend_split_fraction{backend=\"gpu\"}");
+    const obs::Gauge *CpuShare =
+        Metrics.findGauge("padre_backend_split_fraction{backend=\"cpu\"}");
+    ASSERT_NE(GpuShare, nullptr);
+    ASSERT_NE(CpuShare, nullptr);
+    EXPECT_EQ(GpuShare->value(), Half.Stats.Fraction);
+    EXPECT_EQ(CpuShare->value(), 1.0 - Half.Stats.Fraction);
+    for (const char *Name : {"padre_backend_batch_us{backend=\"cpu\"}",
+                             "padre_backend_batch_us{backend=\"gpu\"}"}) {
+      const obs::LogHistogram *Hist = Metrics.findHistogram(Name);
+      ASSERT_NE(Hist, nullptr) << Name;
+      EXPECT_GT(Hist->count(), 0u) << Name;
+    }
     // Pipelined (Auto): one record per sub-batch, whatever the count.
     Config.Backend.Split = backend::SplitMode::Auto;
+    Config.Backend.Fraction = 1.0;
     const RunResult Auto = runOnce(Config, Data);
     const auto DevChunks = static_cast<std::size_t>(
         std::ceil(Auto.Stats.Fraction * 2048.0));
