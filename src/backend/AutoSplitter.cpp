@@ -61,13 +61,40 @@ AutoSplitter::AutoSplitter(const Setup &S)
   Config.GpuDevices = std::max(1u, Config.GpuDevices);
   Config.TunerWindow = std::max(1u, Config.TunerWindow);
   Alpha = 2.0 / (static_cast<double>(Config.TunerWindow) + 1.0);
-  Cpu = std::make_unique<CpuBackend>(S.Model, S.Ledger, Engine);
   if (needsDevice(Config, S.Mode)) {
     assert(S.Primary && S.Primary->present() &&
            "Device-capable split modes need the pipeline's GPU");
-    Dev = std::make_unique<GpuBackend>(S.Model, S.Ledger, Engine,
-                                       *S.Primary, S.Obs, S.Faults,
-                                       Config.GpuDevices);
+    Units.resize(Config.GpuDevices);
+    for (unsigned K = 0; K < Config.GpuDevices; ++K) {
+      Unit &U = Units[K];
+      if (K == 0) {
+        // Device 0 replays on the resource lanes themselves.
+        U.Device = S.Primary;
+        U.GpuLane = static_cast<unsigned>(Resource::Gpu);
+        U.PcieLane = static_cast<unsigned>(Resource::Pcie);
+        continue;
+      }
+      U.Owned = std::make_unique<GpuDevice>(S.Model, S.Ledger);
+      U.Device = U.Owned.get();
+      U.Device->setDeviceIndex(K);
+      U.Device->setMixedMode(S.Primary->mixedMode());
+      U.Device->setObs(S.Obs);
+      if (S.Faults)
+        U.Device->setFaultInjector(S.Faults);
+      // Each extra device gets its own queue lane and its own modelled
+      // PCIe link lane (point-to-point links, one per device).
+      U.GpuLane = S.Ledger.addTimelineLane(Resource::Gpu);
+      U.PcieLane = S.Ledger.addTimelineLane(Resource::Pcie);
+    }
+    DevSpanName = Config.GpuDevices == 1
+                      ? "backend:gpu"
+                      : "backend:gpu" + std::to_string(Config.GpuDevices);
+    // Registered ahead of the split gauges: the Prometheus export keeps
+    // registration order.
+    if (S.Obs.Metrics)
+      FallbackCounter = &S.Obs.Metrics->counter(
+          "padre_gpu_fallback_total{family=\"compression\"}",
+          "GPU sub-batches re-compressed on the CPU after a device fault");
   }
   if (S.Obs.Metrics) {
     obs::MetricsRegistry &M = *S.Obs.Metrics;
@@ -91,13 +118,13 @@ AutoSplitter::AutoSplitter(const Setup &S)
 double AutoSplitter::chooseFraction(std::uint64_t TotalBytes) const {
   switch (Config.Split) {
   case SplitMode::FollowMode:
-    return Dev ? 1.0 : 0.0;
+    return Units.empty() ? 0.0 : 1.0;
   case SplitMode::Fixed:
-    return Dev ? std::clamp(Config.Fraction, 0.0, 1.0) : 0.0;
+    return Units.empty() ? 0.0 : std::clamp(Config.Fraction, 0.0, 1.0);
   case SplitMode::Auto:
     break;
   }
-  if (!Dev)
+  if (Units.empty())
     return 0.0;
   assert(CpuRate > 0.0 && GpuRate > 0.0 && "Tuner rates not seeded");
   // HPDR-style idle-resource routing: cut where the projected
@@ -155,6 +182,108 @@ std::size_t AutoSplitter::cutIndex(std::span<const ChunkView> Chunks,
   return Cut;
 }
 
+double AutoSplitter::cpuQuoteUs(std::uint64_t Bytes,
+                                std::size_t Chunks) const {
+  // Setup per chunk plus the literal scan rate, at full pool width.
+  const double WorkUs =
+      static_cast<double>(Chunks) * Model.Cpu.LzSetupUs +
+      Model.Cpu.LzLiteralPerByteNs * 1e-3 * static_cast<double>(Bytes);
+  return WorkUs / static_cast<double>(Model.Cpu.Threads);
+}
+
+double AutoSplitter::deviceQuoteUs(std::uint64_t Bytes,
+                                   std::size_t Chunks) const {
+  // Ideal static partition: each device compresses 1/N of the share on
+  // its own link and queue; the shared CPU refinement does not divide.
+  // Per device: PCIe round trip + launch + pessimistic lockstep kernel
+  // + pool-width CPU refinement, per compression sub-batch.
+  const unsigned N = deviceCount();
+  Bytes /= N;
+  Chunks = (Chunks + N - 1) / N;
+  const std::size_t SubBatch =
+      std::max<std::size_t>(1, Model.Gpu.CompressBatchChunks);
+  const double SubBatches = static_cast<double>(
+      (Chunks + SubBatch - 1) / SubBatch);
+  // Pessimistic all-literal lockstep kernel: every wavefront is gated
+  // by its literal-heaviest lane, so the whole payload scans at the
+  // literal rate (plus per-lane setup folded into the per-chunk term).
+  const double KernelUs =
+      Model.Gpu.LzLiteralPerByteNs * 1e-3 * static_cast<double>(Bytes) +
+      Model.Gpu.LaneSetupNs * 1e-3 * static_cast<double>(Chunks);
+  // One H2D of the payload and one D2H of roughly the payload (the
+  // unrefined token streams are not smaller in the worst case), per
+  // sub-batch round trip.
+  const double PcieUs = 2.0 * (Model.Pcie.PerTransferUs * SubBatches +
+                               static_cast<double>(Bytes) /
+                                   (Model.Pcie.GigabytesPerSec * 1e3));
+  const double LaunchUs = Model.Gpu.LaunchUs * SubBatches;
+  // CPU refinement follows the kernels, at full pool width.
+  const double RefineUs =
+      (static_cast<double>(Chunks) * Model.Cpu.PostSetupUs +
+       Model.Cpu.PostPerByteNs * 1e-3 * static_cast<double>(Bytes)) /
+      static_cast<double>(Model.Cpu.Threads);
+  return PcieUs + LaunchUs + KernelUs + RefineUs;
+}
+
+void AutoSplitter::executeCpu(std::span<const ChunkView> Chunks,
+                              std::size_t Begin, std::size_t End,
+                              std::vector<CompressedChunk> &Out) {
+  // Attribution by busy snapshot: the shares run sequentially on the
+  // pipeline thread, so the pool delta across this call is exactly this
+  // share's charge. The record carries no device ops, so it replays as
+  // one pool task ready at dedup-done.
+  const double CpuBeforeUs = Ledger.busyMicros(Resource::CpuPool);
+  Engine.compressRangeCpu(Chunks, Begin, End, Out);
+  BatchScheduler::CompressSlice Slice;
+  Slice.CpuUs = Ledger.busyMicros(Resource::CpuPool) - CpuBeforeUs;
+  Records.push_back(std::move(Slice));
+}
+
+void AutoSplitter::executeDevice(std::span<const ChunkView> Chunks,
+                                 std::size_t Begin, std::size_t End,
+                                 std::vector<CompressedChunk> &Out,
+                                 bool Pipelined) {
+  const std::size_t SubBatch =
+      std::max<std::size_t>(1, Model.Gpu.CompressBatchChunks);
+  const std::size_t SubBatches = (End - Begin + SubBatch - 1) / SubBatch;
+  const std::size_t N = Units.size();
+  // Record R covers sub-batches R, R + Stride, ... on device R mod N.
+  // Pipelined, every sub-batch is its own record — so its refinement
+  // replays after *its* kernel round trip instead of after the whole
+  // chain, the splitter's pipeline-depth lever. Otherwise each device's
+  // round-robin share is one record, executed grouped by device (the
+  // per-chunk outputs are disjoint, so execution order is free).
+  // Results and charges are the same either way; only the timeline
+  // placement differs.
+  const std::size_t DevRecords =
+      Pipelined ? SubBatches : std::min(N, SubBatches);
+  const std::size_t Stride = Pipelined ? SubBatches : N;
+  for (std::size_t R = 0; R < DevRecords; ++R) {
+    Unit &U = Units[R % N];
+    BatchScheduler::CompressSlice Slice;
+    Slice.GpuLane = U.GpuLane;
+    Slice.PcieLane = U.PcieLane;
+    Slice.Staging = &U.Device->staging();
+    // Capture the record's async submissions on its own log (the
+    // scheduler's stage-level log stays empty; the slice replay is the
+    // only consumer). CPU attribution by busy snapshot, as in
+    // executeCpu: the refinement pass plus any fault-fallback
+    // re-compression.
+    const double CpuBeforeUs = Ledger.busyMicros(Resource::CpuPool);
+    U.Device->setOpLog(&Slice.Ops);
+    for (std::size_t I = R; I < SubBatches; I += Stride) {
+      const std::size_t B = Begin + I * SubBatch;
+      const std::size_t Fell = Engine.compressRangeGpu(
+          *U.Device, Chunks, B, std::min(End, B + SubBatch), Out);
+      if (FallbackCounter)
+        FallbackCounter->add(Fell);
+    }
+    U.Device->setOpLog(nullptr);
+    Slice.CpuUs = Ledger.busyMicros(Resource::CpuPool) - CpuBeforeUs;
+    Records.push_back(std::move(Slice));
+  }
+}
+
 void AutoSplitter::runCompressStage(std::span<const ChunkView> Chunks,
                                     std::vector<CompressedChunk> &Out) {
   Out.assign(Chunks.size(), CompressedChunk());
@@ -173,14 +302,12 @@ void AutoSplitter::runCompressStage(std::span<const ChunkView> Chunks,
   // rates take over below. Deterministic: quotes are pure functions of
   // the cost model and the batch shape.
   if (CpuRate <= 0.0) {
-    const double QuoteUs =
-        Cpu->quoteCompressUs(TotalBytes, Chunks.size());
+    const double QuoteUs = cpuQuoteUs(TotalBytes, Chunks.size());
     CpuRate = QuoteUs > 0.0 ? static_cast<double>(TotalBytes) / QuoteUs
                             : 1.0;
   }
-  if (GpuRate <= 0.0 && Dev) {
-    const double QuoteUs =
-        Dev->quoteCompressUs(TotalBytes, Chunks.size());
+  if (GpuRate <= 0.0 && !Units.empty()) {
+    const double QuoteUs = deviceQuoteUs(TotalBytes, Chunks.size());
     GpuRate = QuoteUs > 0.0 ? static_cast<double>(TotalBytes) / QuoteUs
                             : 1.0;
   }
@@ -211,10 +338,10 @@ void AutoSplitter::runCompressStage(std::span<const ChunkView> Chunks,
 
   std::size_t DevRecords = 0;
   double DevCostUs = 0.0, CpuCostUs = 0.0;
-  if (Cut > 0 && Dev) {
+  if (Cut > 0 && !Units.empty()) {
     const double GpuBeginUs = Ledger.busyMicros(Resource::Gpu);
     const double PcieBeginUs = Ledger.busyMicros(Resource::Pcie);
-    Dev->executeSlice(Chunks, 0, Cut, Out, Records, Pipelined);
+    executeDevice(Chunks, 0, Cut, Out, Pipelined);
     DevRecords = Records.size();
     // The device share's marginal occupancy: the larger of the GPU and
     // PCIe busy deltas (the pool the slice actually loads most).
@@ -222,20 +349,19 @@ void AutoSplitter::runCompressStage(std::span<const ChunkView> Chunks,
         std::fmax(Ledger.busyMicros(Resource::Gpu) - GpuBeginUs,
                   Ledger.busyMicros(Resource::Pcie) - PcieBeginUs);
     if (Trace)
-      Trace->record(Dev->caps().SpanName, obs::CategoryBackend,
+      Trace->record(DevSpanName.c_str(), obs::CategoryBackend,
                     Resource::Gpu, GpuBeginUs,
                     Ledger.busyMicros(Resource::Gpu) - GpuBeginUs);
   }
   if (Cut < Chunks.size()) {
     const double CpuBeginUs = Ledger.busyMicros(Resource::CpuPool);
-    Cpu->executeSlice(Chunks, Cut, Chunks.size(), Out, Records,
-                      /*Pipelined=*/false);
+    executeCpu(Chunks, Cut, Chunks.size(), Out);
     // The CPU share's marginal occupancy, normalized by the pool width
     // (the splitter balances normalized busy, see chooseFraction).
     CpuCostUs = (Ledger.busyMicros(Resource::CpuPool) - CpuBeginUs) /
                 static_cast<double>(std::max(1u, Model.Cpu.Threads));
     if (Trace)
-      Trace->record(Cpu->caps().SpanName, obs::CategoryBackend,
+      Trace->record("backend:cpu", obs::CategoryBackend,
                     Resource::CpuPool, CpuBeginUs,
                     Ledger.busyMicros(Resource::CpuPool) - CpuBeginUs);
   }
