@@ -199,10 +199,12 @@ bool ReadPipeline::processBatch(std::span<const std::uint64_t> Locations,
   ChunkCache *Cache = Pipe.readCache();
   const ChunkStore &Store = Pipe.store();
 
-  // Batch-scoped scratch (request tables, warp sub-block tables) lives
-  // in the arena: reset here poisons last batch's allocations and
-  // recycles the block — steady-state batches make no heap calls for
-  // scratch. Allocation stays on this (batch-driving) thread.
+  // The per-request source and latency tables and the warp sub-block
+  // tables live in the arena: reset here poisons last batch's
+  // allocations and recycles the block. The item table, its location
+  // index, the fetch order, each coalesced run and the decode routing
+  // vectors still come from the heap on every batch. Allocation stays
+  // on this (batch-driving) thread.
   BatchArena.reset();
 
   const std::size_t Base = Out.size();
@@ -632,43 +634,56 @@ void ReadPipeline::decodeGpu(const std::vector<BatchItem *> &Items) {
     if (DeviceOk.ok())
       DeviceOk = Device->transferFromDevice(OutBytes);
 
-    if (!DeviceOk.ok()) {
-      // Degraded mode: re-decode this sub-batch on the CPU path.
-      // Whatever the device produced (including DMA-corrupt output) is
-      // discarded — the CPU decode is authoritative, so the delivered
-      // bytes are bit-exact either way; only the modelled cost
-      // differs. Plan failures stay failed: the payload is malformed
-      // on any backend.
-      ++GpuDecodeFallbacks;
-      if (GpuFallbackTotal)
-        GpuFallbackTotal->add(1);
-      std::vector<BatchItem *> Retry;
-      Retry.reserve(End - Begin);
-      for (std::size_t I = Begin; I < End; ++I) {
-        BatchItem &Item = *Items[I];
-        if (!Item.Plan)
-          continue;
-        Item.Failed = false;
-        Item.Error = fault::ErrorCode::Ok;
-        Item.Decoded.clear();
-        Retry.push_back(&Item);
-      }
-      if (!Retry.empty())
-        decodeCpu(Retry);
-      continue;
-    }
-
-    // Every chunk in the sub-batch waits for the whole round trip —
-    // the same latency semantics as the write side's GPU batches.
-    const double Penalty =
-        Device->mixedMode() ? Model.Gpu.MixedKernelPenalty : 1.0;
-    const double RoundTripUs = Model.pcieTransferUs(InBytes) +
-                               (Model.Gpu.LaunchUs + ExecMicros) * Penalty +
-                               Model.pcieTransferUs(OutBytes);
-    for (std::size_t I = Begin; I < End; ++I)
-      if (Items[I]->Plan)
-        Items[I]->DecodeUs += RoundTripUs;
+    // Plan failures stay failed: the payload is malformed on any
+    // backend.
+    closeDeviceSubBatch(
+        Items, Begin, End,
+        [](const BatchItem &Item) { return Item.Plan.has_value(); },
+        DeviceOk, Model.Gpu.LaunchUs + ExecMicros, InBytes, OutBytes);
   }
+}
+
+void ReadPipeline::closeDeviceSubBatch(const std::vector<BatchItem *> &Items,
+                                       std::size_t Begin, std::size_t End,
+                                       bool (*Planned)(const BatchItem &),
+                                       const fault::Status &DeviceOk,
+                                       double KernelUs, std::size_t InBytes,
+                                       std::size_t OutBytes) {
+  if (!DeviceOk.ok()) {
+    // Degraded mode: re-decode the sub-batch's planned chunks on the
+    // CPU path. Whatever the device produced (including DMA-corrupt
+    // output) is discarded — the CPU decode is authoritative, so the
+    // delivered bytes are bit-exact either way; only the modelled cost
+    // differs.
+    ++GpuDecodeFallbacks;
+    if (GpuFallbackTotal)
+      GpuFallbackTotal->add(1);
+    std::vector<BatchItem *> Retry;
+    Retry.reserve(End - Begin);
+    for (std::size_t I = Begin; I < End; ++I) {
+      BatchItem &Item = *Items[I];
+      if (!Planned(Item))
+        continue;
+      Item.Failed = false;
+      Item.Error = fault::ErrorCode::Ok;
+      Item.Decoded.clear();
+      Retry.push_back(&Item);
+    }
+    if (!Retry.empty())
+      decodeCpu(Retry);
+    return;
+  }
+
+  // Every chunk in the sub-batch waits for the whole round trip —
+  // the same latency semantics as the write side's GPU batches.
+  const double Penalty =
+      Device->mixedMode() ? Model.Gpu.MixedKernelPenalty : 1.0;
+  const double RoundTripUs = Model.pcieTransferUs(InBytes) +
+                             KernelUs * Penalty +
+                             Model.pcieTransferUs(OutBytes);
+  for (std::size_t I = Begin; I < End; ++I)
+    if (Planned(*Items[I]))
+      Items[I]->DecodeUs += RoundTripUs;
 }
 
 void ReadPipeline::decodeWarp(const std::vector<BatchItem *> &Items) {
@@ -751,41 +766,15 @@ void ReadPipeline::decodeWarp(const std::vector<BatchItem *> &Items) {
     if (DeviceOk.ok())
       DeviceOk = Device->transferFromDevice(OutBytes);
 
-    if (!DeviceOk.ok()) {
-      // Degraded mode, same contract as the lane path: discard whatever
-      // the device produced (the functional results stand in for data
-      // that a fault made untrustworthy) and re-decode on the CPU —
-      // delivered bytes stay bit-exact, only the modelled cost differs.
-      // The kernel is evicted: the next warp sub-batch relaunches.
-      WarpKernelResident = false;
-      ++GpuDecodeFallbacks;
-      if (GpuFallbackTotal)
-        GpuFallbackTotal->add(1);
-      std::vector<BatchItem *> Retry;
-      Retry.reserve(End - Begin);
-      for (std::size_t I = Begin; I < End; ++I) {
-        BatchItem &Item = *Items[I];
-        if (!Item.WarpPlan)
-          continue;
-        Item.Failed = false;
-        Item.Error = fault::ErrorCode::Ok;
-        Item.Decoded.clear();
-        Retry.push_back(&Item);
-      }
-      if (!Retry.empty())
-        decodeCpu(Retry);
-      continue;
-    }
-    WarpKernelResident = true;
-
-    const double Penalty =
-        Device->mixedMode() ? Model.Gpu.MixedKernelPenalty : 1.0;
-    const double RoundTripUs = Model.pcieTransferUs(InBytes) +
-                               (FixedUs + ExecMicros) * Penalty +
-                               Model.pcieTransferUs(OutBytes);
-    for (std::size_t I = Begin; I < End; ++I)
-      if (Items[I]->WarpPlan)
-        Items[I]->DecodeUs += RoundTripUs;
+    // On a fault the body's functional results stand in for data the
+    // fault made untrustworthy, so they are re-decoded like the lane
+    // path's.
+    closeDeviceSubBatch(
+        Items, Begin, End,
+        [](const BatchItem &Item) { return Item.WarpPlan.has_value(); },
+        DeviceOk, FixedUs + ExecMicros, InBytes, OutBytes);
+    // A fault evicts the kernel: the next warp sub-batch relaunches.
+    WarpKernelResident = DeviceOk.ok();
   }
 }
 

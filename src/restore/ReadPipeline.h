@@ -176,6 +176,16 @@ private:
   void decodeCpu(const std::vector<BatchItem *> &Items);
   void decodeGpu(const std::vector<BatchItem *> &Items);
   void decodeWarp(const std::vector<BatchItem *> &Items);
+  /// Closes device sub-batch Items[Begin, End) of decodeGpu/decodeWarp.
+  /// On a device fault (\p DeviceOk) the \p Planned chunks re-decode on
+  /// the CPU pool; otherwise each waits for the whole round trip: PCIe
+  /// in, \p KernelUs (launch or doorbell plus execution) under the
+  /// mixed-mode penalty, PCIe out.
+  void closeDeviceSubBatch(const std::vector<BatchItem *> &Items,
+                           std::size_t Begin, std::size_t End,
+                           bool (*Planned)(const BatchItem &),
+                           const fault::Status &DeviceOk, double KernelUs,
+                           std::size_t InBytes, std::size_t OutBytes);
   void noteFailure(std::uint64_t Location);
   /// The Auto probe: modelled decode makespans of a synthetic batch at
   /// BatchDepth for every available path (CPU pool, lane kernel, warp
