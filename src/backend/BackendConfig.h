@@ -1,9 +1,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Configuration of the multi-backend reduction framework (src/backend)
-/// — a plain-data header so PipelineConfig can embed it without pulling
-/// the backend layer's engine dependencies into every core include.
+/// Configuration of the compress splitter (src/backend) — a plain-data
+/// header so PipelineConfig can embed it without pulling the splitter's
+/// engine dependencies into every core include.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,17 +16,17 @@ namespace backend {
 /// How the splitter partitions each batch across backends.
 ///
 ///   FollowMode — the PipelineMode's placement (the default): every
-///                chunk on the CPU backend in cpu-only and gpu-dedup,
-///                every chunk on the device backend in gpu-compress and
-///                gpu-both. The CPU modes build no device backend, so
-///                GPU-less platforms work.
+///                chunk on the CPU pool in cpu-only and gpu-dedup,
+///                every chunk on the devices in gpu-compress and
+///                gpu-both. The CPU modes drive no device, so GPU-less
+///                platforms work.
 ///   Auto       — the HPDR-style tuner picks the device share per batch
-///                from observed per-backend rates (EWMA, seeded from the
+///                from observed per-side rates (EWMA, seeded from the
 ///                static cost-model quotes) and pipelines the device
 ///                share at sub-batch granularity.
-///   Fixed      — a static fraction of each batch's bytes to the device
-///                backend (BackendConfig::Fraction); no tuning. Fixed 0
-///                builds no device backend.
+///   Fixed      — a static fraction of each batch's bytes to the
+///                devices (BackendConfig::Fraction); no tuning. Fixed 0
+///                drives no device.
 enum class SplitMode { FollowMode, Auto, Fixed };
 
 /// Returns "mode", "auto" or "fixed".
@@ -34,7 +34,7 @@ const char *splitModeName(SplitMode Mode);
 
 /// Backend-framework knobs, embedded in PipelineConfig::Backend.
 struct BackendConfig {
-  /// Modelled GPUs driven by the device backend (>= 1). Devices past
+  /// Modelled GPUs driven by the splitter (>= 1). Devices past
   /// the first are extra GpuDevice instances with independent
   /// staging/queues on their own timeline lanes.
   unsigned GpuDevices = 1;

@@ -2,7 +2,7 @@
 ///
 /// \file
 /// The parallel compression engine (§3.2). Two range entry points, one
-/// per execution substrate (the backends of src/backend call them):
+/// per execution substrate (src/backend's AutoSplitter calls them):
 ///
 ///   * compressRangeCpu — "the compute is parallelized by the CPU by
 ///     assigning a computing thread that runs the previously studied
@@ -43,7 +43,7 @@ struct CompressedChunk {
   CompressStats Stats;
   bool StoredRaw = false;
   /// Modelled service latency of this chunk's compression stage in
-  /// microseconds. The GPU backend batches chunks per kernel, so every
+  /// microseconds. The GPU path batches chunks per kernel, so every
   /// chunk waits for its whole sub-batch round trip — deeper batching
   /// buys throughput at the price of latency.
   double LatencyUs = 0.0;

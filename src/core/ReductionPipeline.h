@@ -261,7 +261,7 @@ public:
   /// Config.CompressEnabled is false).
   const backend::AutoSplitter *splitter() const { return Splitter.get(); }
   /// Modelled GPU devices in play — the capacity term of the report's
-  /// makespan (1 without the multi-GPU backend).
+  /// makespan (1 without extra splitter devices).
   unsigned gpuDeviceCount() const;
   const SsdModel &ssd() const { return Ssd; }
   SsdModel &ssd() { return Ssd; }

@@ -180,7 +180,7 @@ public:
 
   /// Identity among the host's modelled GPUs (0-based). Device 0 is
   /// the pipeline's primary (its op chain replays on the Resource::Gpu
-  /// timeline lane); the multi-GPU backend numbers extra devices and
+  /// timeline lane); the compress splitter numbers extra devices and
   /// gives each its own aux timeline lanes. Charges always land on the
   /// shared per-resource busy accumulators regardless of index.
   void setDeviceIndex(unsigned Index) { DeviceIndex = Index; }

@@ -102,7 +102,7 @@ public:
   /// Bottleneck makespan over the resources selected by \p Mask:
   /// max(busy(r) / capacity(r)). CPU capacity is \p CpuThreads parallel
   /// hardware threads; GPU capacity is \p GpuDevices modelled devices
-  /// (the multi-GPU backend shares one busy accumulator across
+  /// (the splitter's devices share one busy accumulator across
   /// devices, so capacity — not busy — carries the device count);
   /// other resources have capacity one.
   double makespanSeconds(unsigned CpuThreads,
