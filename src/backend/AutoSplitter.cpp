@@ -11,6 +11,9 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <mutex>
+#include <string>
 
 using namespace padre;
 using namespace padre::backend;
@@ -38,6 +41,21 @@ constexpr int FractionGridSteps = 16;
 /// Slice completion times below the ledger's resolution observe
 /// nothing (an empty share has no rate).
 constexpr double MinElapsedUs = 1e-3;
+
+/// The device share's span name, "backend:gpu" or "backend:gpuN". The
+/// trace recorder keeps the pointer, not a copy, and callers export a
+/// trace after the pipeline that recorded it is gone, so the names live
+/// as long as the program.
+const char *deviceSpanName(unsigned Devices) {
+  static std::mutex Mutex;
+  static std::map<unsigned, std::string> Names; // nodes never move
+  const std::lock_guard<std::mutex> Lock(Mutex);
+  std::string &Name = Names[Devices];
+  if (Name.empty())
+    Name = Devices == 1 ? "backend:gpu"
+                        : "backend:gpu" + std::to_string(Devices);
+  return Name.c_str();
+}
 
 } // namespace
 
@@ -86,11 +104,7 @@ AutoSplitter::AutoSplitter(const Setup &S)
       U.GpuLane = S.Ledger.addTimelineLane(Resource::Gpu);
       U.PcieLane = S.Ledger.addTimelineLane(Resource::Pcie);
     }
-    DevSpanName = Config.GpuDevices == 1
-                      ? "backend:gpu"
-                      : "backend:gpu" + std::to_string(Config.GpuDevices);
-    // Registered ahead of the split gauges: the Prometheus export keeps
-    // registration order.
+    DevSpanName = deviceSpanName(Config.GpuDevices);
     if (S.Obs.Metrics)
       FallbackCounter = &S.Obs.Metrics->counter(
           "padre_gpu_fallback_total{family=\"compression\"}",
@@ -349,7 +363,7 @@ void AutoSplitter::runCompressStage(std::span<const ChunkView> Chunks,
         std::fmax(Ledger.busyMicros(Resource::Gpu) - GpuBeginUs,
                   Ledger.busyMicros(Resource::Pcie) - PcieBeginUs);
     if (Trace)
-      Trace->record(DevSpanName.c_str(), obs::CategoryBackend,
+      Trace->record(DevSpanName, obs::CategoryBackend,
                     Resource::Gpu, GpuBeginUs,
                     Ledger.busyMicros(Resource::Gpu) - GpuBeginUs);
   }

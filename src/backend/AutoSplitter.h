@@ -49,7 +49,6 @@
 
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace padre {
@@ -167,9 +166,8 @@ private:
   /// count covers the batch.
   CompressEngine Engine;
   std::vector<Unit> Units; ///< empty when needsDevice() is false
-  /// "backend:gpu" or "backend:gpuN": set once and never reassigned,
-  /// because the trace recorder keeps the pointer, not a copy.
-  std::string DevSpanName;
+  /// "backend:gpu" or "backend:gpuN", with static storage duration.
+  const char *DevSpanName = nullptr;
   /// Reused slice-record scratch (no steady-state allocation).
   std::vector<BatchScheduler::CompressSlice> Records;
   // Tuner state: EWMA rates in bytes/µs; 0 = not yet seeded.
