@@ -28,7 +28,6 @@
 #include "chunk/Chunker.h"
 #include "fault/Status.h"
 #include "gpu/GpuDevice.h"
-#include "hash/Sha1Batch.h"
 #include "index/DedupIndex.h"
 #include "index/GpuBinTable.h"
 #include "obs/Obs.h"
@@ -153,11 +152,6 @@ private:
   /// top of every processBatch. Single-owner: only the batch-driving
   /// thread allocates (parallel slices read/write the spans in place).
   Arena BatchArena;
-  /// Multi-buffer SHA-1 lanes per batched hash call, from
-  /// Model.Cpu.HashBatchWidth clamped to [1, Sha1Batch::MaxWidth].
-  /// Width 1 reproduces the serial hash path bit-for-bit (same digests,
-  /// same per-chunk cost accumulation order).
-  unsigned HashWidth = 1;
   double Offload;
   // Ledger snapshot at the last adaptation step.
   double LastCpuBusy = 0.0;
@@ -168,7 +162,6 @@ private:
   obs::Gauge *OffloadGauge = nullptr;
   obs::Counter *BinFlushes = nullptr;
   obs::Counter *GpuFallbacks = nullptr;
-  obs::Gauge *HashWidthGauge = nullptr;
 };
 
 } // namespace padre

@@ -150,13 +150,11 @@ TEST(ArenaHotpath, RecipeStableAcrossArenaReuse) {
   // Recipe entries recorded in earlier batches must be bit-stable (no
   // stale arena-backed refs), and the reassembled stream must verify.
   const ByteVector Data = goldenStream();
-  Platform Plat = Platform::paper();
-  Plat.Model.Cpu.HashBatchWidth = 4;
   PipelineConfig Config;
   Config.Dedup.Index.BinBits = 8;
   Config.Dedup.Index.Shards = 4;
   Config.BatchChunks = 16; // small batches -> frequent resets
-  ReductionPipeline Pipeline(Plat, Config);
+  ReductionPipeline Pipeline(Platform::paper(), Config);
 
   const std::size_t Step = 64 * 1024;
   std::vector<std::uint64_t> AfterFirst;
