@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 using namespace padre;
 
 namespace {
@@ -124,8 +126,28 @@ TEST_F(EngineFixture, SerialIndexingChargesTheLock) {
   Ledger.reset();
   DedupEngine Parallel(Model, Ledger, Pool, Ssd, nullptr,
                        dedupConfig(false));
-  Parallel.processBatch(Views, locationsFor(Views.size()), Items);
+  std::vector<DedupItem> ParallelItems;
+  Parallel.processBatch(Views, locationsFor(Views.size()), ParallelItems);
   EXPECT_EQ(Ledger.busySeconds(Resource::IndexLock), 0.0);
+  // Charging the lock changes no result: every chunk gets the same
+  // fingerprint, outcome and location under both policies, for the
+  // all-unique first batch and for a second batch of duplicates.
+  const auto ExpectSameItems = [](const std::vector<DedupItem> &Serial,
+                                  const std::vector<DedupItem> &Binned) {
+    ASSERT_EQ(Binned.size(), Serial.size());
+    for (std::size_t I = 0; I < Serial.size(); ++I) {
+      SCOPED_TRACE("chunk " + std::to_string(I));
+      EXPECT_EQ(Binned[I].Fp, Serial[I].Fp);
+      EXPECT_EQ(Binned[I].Outcome, Serial[I].Outcome);
+      EXPECT_EQ(Binned[I].Location, Serial[I].Location);
+    }
+  };
+  ExpectSameItems(Items, ParallelItems);
+  Engine.processBatch(Views, locationsFor(Views.size(), 1000), Items);
+  Parallel.processBatch(Views, locationsFor(Views.size(), 1000),
+                        ParallelItems);
+  EXPECT_NE(Items.front().Outcome, LookupOutcome::Unique);
+  ExpectSameItems(Items, ParallelItems);
 }
 
 TEST_F(EngineFixture, DedupFinishFlushesBuffersToSsd) {
