@@ -106,11 +106,14 @@
 #include "workload/VdbenchStream.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 using namespace padre;
@@ -224,6 +227,23 @@ bool parseMode(const std::string &Name,
   return false;
 }
 
+/// Parses the whole of \p Text as a decimal number that fits \p Out.
+/// Rejects an empty value, trailing characters, a sign on an unsigned
+/// option, overflow and a non-finite double; \p Out is left unchanged
+/// on failure.
+template <typename T> bool parseNumber(const std::string &Text, T &Out) {
+  const char *End = Text.data() + Text.size();
+  T Parsed{};
+  const auto [Ptr, Ec] = std::from_chars(Text.data(), End, Parsed);
+  if (Ec != std::errc() || Ptr != End)
+    return false;
+  if constexpr (std::is_floating_point_v<T>)
+    if (!std::isfinite(Parsed))
+      return false;
+  Out = Parsed;
+  return true;
+}
+
 bool parseArgs(int Argc, char **Argv, Options &Opts) {
   if (Argc < 2)
     return false;
@@ -258,6 +278,7 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       return true;
     };
     std::string Value;
+    bool NumberOk = true;
     if (Arg == "--entropy") {
       Opts.Entropy = true;
     } else if (Arg == "--platform" && NextValue(Value)) {
@@ -272,15 +293,15 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return false;
       }
     } else if (Arg == "--bytes" && NextValue(Value)) {
-      Opts.Bytes = std::strtoull(Value.c_str(), nullptr, 10);
+      NumberOk = parseNumber(Value, Opts.Bytes);
     } else if (Arg == "--dedup" && NextValue(Value)) {
-      Opts.DedupRatio = std::strtod(Value.c_str(), nullptr);
+      NumberOk = parseNumber(Value, Opts.DedupRatio);
     } else if (Arg == "--comp" && NextValue(Value)) {
-      Opts.CompressRatio = std::strtod(Value.c_str(), nullptr);
+      NumberOk = parseNumber(Value, Opts.CompressRatio);
     } else if (Arg == "--chunk" && NextValue(Value)) {
-      Opts.ChunkSize = std::strtoull(Value.c_str(), nullptr, 10);
+      NumberOk = parseNumber(Value, Opts.ChunkSize);
     } else if (Arg == "--seed" && NextValue(Value)) {
-      Opts.Seed = std::strtoull(Value.c_str(), nullptr, 10);
+      NumberOk = parseNumber(Value, Opts.Seed);
     } else if (Arg == "--image" && NextValue(Value)) {
       Opts.ImagePath = Value;
     } else if (Arg == "--trace" && NextValue(Value)) {
@@ -290,20 +311,19 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     } else if (Arg == "--metrics-out" && NextValue(Value)) {
       Opts.MetricsOutPath = Value;
     } else if (Arg == "--trace-ops" && NextValue(Value)) {
-      Opts.TraceOps = std::strtoull(Value.c_str(), nullptr, 10);
+      NumberOk = parseNumber(Value, Opts.TraceOps);
     } else if (Arg == "--verify-dedup") {
       Opts.VerifyDedup = true;
     } else if (Arg == "--cache" && NextValue(Value)) {
-      Opts.CacheBytes = std::strtoull(Value.c_str(), nullptr, 10);
+      NumberOk = parseNumber(Value, Opts.CacheBytes);
     } else if (Arg == "--read-batch" && NextValue(Value)) {
-      Opts.ReadBatch = std::strtoull(Value.c_str(), nullptr, 10);
+      NumberOk = parseNumber(Value, Opts.ReadBatch);
     } else if (Arg == "--readahead" && NextValue(Value)) {
-      Opts.Readahead = std::strtoull(Value.c_str(), nullptr, 10);
+      NumberOk = parseNumber(Value, Opts.Readahead);
     } else if (Arg == "--pipeline-depth" && NextValue(Value)) {
-      Opts.PipelineDepth = std::strtoull(Value.c_str(), nullptr, 10);
+      NumberOk = parseNumber(Value, Opts.PipelineDepth);
     } else if (Arg == "--sub-blocks" && NextValue(Value)) {
-      Opts.SubBlocks =
-          static_cast<unsigned>(std::strtoul(Value.c_str(), nullptr, 10));
+      NumberOk = parseNumber(Value, Opts.SubBlocks);
     } else if (Arg == "--backends" && NextValue(Value)) {
       ensureBackend();
       std::size_t Pos = 0;
@@ -346,8 +366,9 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     } else if (Arg == "--tuner-window" && NextValue(Value)) {
       if (ensureBackend())
         Opts.BackendHasGpu = true;
-      if (const unsigned Window = static_cast<unsigned>(
-              std::strtoul(Value.c_str(), nullptr, 10)))
+      unsigned Window = 0;
+      NumberOk = parseNumber(Value, Window);
+      if (Window != 0)
         Opts.Backend->TunerWindow = Window;
     } else if (Arg == "--read-mode" && NextValue(Value)) {
       if (Value == "cpu")
@@ -368,21 +389,19 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     } else if (Arg == "--checkpoint" && NextValue(Value)) {
       Opts.CheckpointPath = Value;
     } else if (Arg == "--group-commit" && NextValue(Value)) {
-      Opts.GroupCommitOps = std::strtoull(Value.c_str(), nullptr, 10);
+      NumberOk = parseNumber(Value, Opts.GroupCommitOps);
     } else if (Arg == "--checkpoint-every" && NextValue(Value)) {
-      Opts.CheckpointEveryOps = std::strtoull(Value.c_str(), nullptr, 10);
+      NumberOk = parseNumber(Value, Opts.CheckpointEveryOps);
     } else if (Arg == "--tenants" && NextValue(Value)) {
-      Opts.Tenants =
-          static_cast<unsigned>(std::strtoul(Value.c_str(), nullptr, 10));
+      NumberOk = parseNumber(Value, Opts.Tenants);
     } else if (Arg == "--rounds" && NextValue(Value)) {
-      Opts.Rounds = std::strtoull(Value.c_str(), nullptr, 10);
+      NumberOk = parseNumber(Value, Opts.Rounds);
     } else if (Arg == "--shards" && NextValue(Value)) {
-      Opts.Shards =
-          static_cast<unsigned>(std::strtoul(Value.c_str(), nullptr, 10));
+      NumberOk = parseNumber(Value, Opts.Shards);
     } else if (Arg == "--index-budget" && NextValue(Value)) {
-      Opts.IndexBudget = std::strtoull(Value.c_str(), nullptr, 10);
+      NumberOk = parseNumber(Value, Opts.IndexBudget);
     } else if (Arg == "--quota" && NextValue(Value)) {
-      Opts.QuotaBytes = std::strtoull(Value.c_str(), nullptr, 10);
+      NumberOk = parseNumber(Value, Opts.QuotaBytes);
     } else if (Arg == "--policy" && NextValue(Value)) {
       if (Value == "prioritized")
         Opts.Policy = CachePolicy::Prioritized;
@@ -400,19 +419,17 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return false;
       }
     } else if (Arg == "--gc-every" && NextValue(Value)) {
-      Opts.GcEvery = std::strtoull(Value.c_str(), nullptr, 10);
+      NumberOk = parseNumber(Value, Opts.GcEvery);
     } else if (Arg == "--raw") {
       Opts.RawWrites = true;
     } else if (Arg == "--ftl") {
       Opts.FtlOn = true;
     } else if (Arg == "--ftl-blocks" && NextValue(Value)) {
-      Opts.FtlBlocks =
-          static_cast<std::uint32_t>(std::strtoul(Value.c_str(), nullptr, 10));
+      NumberOk = parseNumber(Value, Opts.FtlBlocks);
     } else if (Arg == "--ftl-pages-per-block" && NextValue(Value)) {
-      Opts.FtlPagesPerBlock =
-          static_cast<std::uint32_t>(std::strtoul(Value.c_str(), nullptr, 10));
+      NumberOk = parseNumber(Value, Opts.FtlPagesPerBlock);
     } else if (Arg == "--ftl-op" && NextValue(Value)) {
-      Opts.FtlOverprovisionPct = std::strtod(Value.c_str(), nullptr);
+      NumberOk = parseNumber(Value, Opts.FtlOverprovisionPct);
     } else if (Arg == "--fault-plan" && NextValue(Value)) {
       std::string Error;
       if (!fault::parseFaultPlan(Value, Opts.FaultPlan, Error)) {
@@ -420,8 +437,7 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         return false;
       }
     } else if (Arg == "--threads" && NextValue(Value)) {
-      Opts.Threads =
-          static_cast<unsigned>(std::strtoul(Value.c_str(), nullptr, 10));
+      NumberOk = parseNumber(Value, Opts.Threads);
     } else if (Arg == "--chunking" && NextValue(Value)) {
       if (Value == "fixed")
         Opts.Chunking = ChunkingMode::Fixed;
@@ -437,6 +453,11 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     } else {
       std::fprintf(stderr, "error: unknown or incomplete option '%s'\n",
                    Arg.c_str());
+      return false;
+    }
+    if (!NumberOk) {
+      std::fprintf(stderr, "error: invalid number '%s' for %s\n",
+                   Value.c_str(), Arg.c_str());
       return false;
     }
   }
