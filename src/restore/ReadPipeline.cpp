@@ -30,6 +30,42 @@ bool gpuDecodable(BlockMethod Method) {
          Method == BlockMethod::GpuLane;
 }
 
+/// One decode batch's totals over its chunks: CPU-pool decode µs, and
+/// for the device path host planning µs (on the pool), the per-kernel
+/// fixed µs (launch or doorbell), kernel execution µs and PCIe bytes in
+/// both directions.
+struct DecodeTotals {
+  double Chunks = 0.0;
+  double CpuUs = 0.0;
+  double PlanUs = 0.0;
+  double KernelFixedUs = 0.0;
+  double ExecUs = 0.0;
+  double StreamBytes = 0.0;
+};
+
+/// Modelled makespans of one batch on each side.
+struct DecodeQuote {
+  double CpuUs = 0.0;
+  double DeviceUs = 0.0;
+};
+
+/// Prices \p Batch: the CPU pool runs its decode chunk-parallel; the
+/// device path's makespan is the busiest of planning on the pool, the
+/// kernels and the DMA (perfect stage overlap, the same first-order
+/// model the ledger uses), with one kernel per DecompressBatchChunks.
+DecodeQuote quoteDecode(const CostModel &Model, const DecodeTotals &Batch) {
+  const double Threads = static_cast<double>(Model.Cpu.Threads);
+  const double Kernels =
+      std::ceil(Batch.Chunks /
+                static_cast<double>(Model.Gpu.DecompressBatchChunks));
+  const double GpuBusyUs = Kernels * Batch.KernelFixedUs + Batch.ExecUs;
+  const double PcieBusyUs = Kernels * 2.0 * Model.Pcie.PerTransferUs +
+                            Batch.StreamBytes /
+                                (Model.Pcie.GigabytesPerSec * 1e3);
+  return {Batch.CpuUs / Threads,
+          std::max(Batch.PlanUs / Threads, std::max(GpuBusyUs, PcieBusyUs))};
+}
+
 } // namespace
 
 ReadPipeline::ReadPipeline(ReductionPipeline &Pipeline,
@@ -467,38 +503,27 @@ bool ReadPipeline::processBatch(std::span<const std::uint64_t> Locations,
 bool ReadPipeline::unframedLaneWins(
     const std::vector<BatchItem *> &Unframed) const {
   assert(Device && "Arbitration without a device");
-  const double Threads = static_cast<double>(Model.Cpu.Threads);
-  // CPU pool: chunk-parallel over the remainder's actual sizes.
-  double CpuUs = 0.0;
-  // Lane path: plan on the pool, then kernel + DMA. The kernel time is
-  // the all-literal single-lane estimate (the dominant literal rate,
-  // no plan computed yet — planning is part of the path being priced,
-  // so the quote must not pay it twice).
-  double PlanUs = 0.0;
-  double ExecUs = 0.0;
-  double PayloadBytes = 0.0;
-  double OutBytes = 0.0;
+  // CPU pool: chunk-parallel over the remainder's actual sizes. Lane
+  // path: plan on the pool, then kernel + DMA. The kernel time is the
+  // all-literal single-lane estimate (the dominant literal rate, no
+  // plan computed yet — planning is part of the path being priced, so
+  // the quote must not pay it twice).
+  DecodeTotals Batch;
+  Batch.Chunks = static_cast<double>(Unframed.size());
+  Batch.KernelFixedUs = Model.Gpu.LaunchUs;
   for (const BatchItem *Item : Unframed) {
-    CpuUs += Model.Cpu.DecompressSetupUs +
-             Model.Cpu.DecompressPerByteNs * 1e-3 *
-                 static_cast<double>(Item->OriginalSize);
-    PlanUs += Model.Cpu.PlanSetupUs +
-              Model.Cpu.PlanPerByteNs * 1e-3 *
-                  static_cast<double>(Item->Payload.size());
-    ExecUs += Model.gpuDecodeLaneUs(Item->OriginalSize, 0, 1);
-    PayloadBytes += static_cast<double>(Item->Payload.size());
-    OutBytes += static_cast<double>(Item->OriginalSize);
+    Batch.CpuUs += Model.Cpu.DecompressSetupUs +
+                   Model.Cpu.DecompressPerByteNs * 1e-3 *
+                       static_cast<double>(Item->OriginalSize);
+    Batch.PlanUs += Model.Cpu.PlanSetupUs +
+                    Model.Cpu.PlanPerByteNs * 1e-3 *
+                        static_cast<double>(Item->Payload.size());
+    Batch.ExecUs += Model.gpuDecodeLaneUs(Item->OriginalSize, 0, 1);
+    Batch.StreamBytes +=
+        static_cast<double>(Item->Payload.size() + Item->OriginalSize);
   }
-  const double Kernels =
-      std::ceil(static_cast<double>(Unframed.size()) /
-                static_cast<double>(Model.Gpu.DecompressBatchChunks));
-  const double GpuBusyUs = Kernels * Model.Gpu.LaunchUs + ExecUs;
-  const double PcieBusyUs = Kernels * 2.0 * Model.Pcie.PerTransferUs +
-                            (PayloadBytes + OutBytes) /
-                                (Model.Pcie.GigabytesPerSec * 1e3);
-  const double LaneUs =
-      std::max(PlanUs / Threads, std::max(GpuBusyUs, PcieBusyUs));
-  return LaneUs < CpuUs / Threads;
+  const DecodeQuote Quote = quoteDecode(Model, Batch);
+  return Quote.DeviceUs < Quote.CpuUs;
 }
 
 void ReadPipeline::decodeCpu(const std::vector<BatchItem *> &Items) {
@@ -803,15 +828,15 @@ ReadPipeline::ProbeResult ReadPipeline::probeMode() const {
       Codec.compress(ByteSpan(Chunk.data(), Chunk.size()));
 
   const double Depth = static_cast<double>(Config.BatchDepth);
-  const double Threads = static_cast<double>(Model.Cpu.Threads);
   const double PayloadBytes = static_cast<double>(Probe.Payload.size());
 
   // CPU pool: chunk-parallel, bottlenecked by the pool itself.
-  Result.CpuUs = Depth *
-                 (Model.Cpu.DecompressSetupUs +
-                  Model.Cpu.DecompressPerByteNs * 1e-3 *
-                      static_cast<double>(ChunkSize)) /
-                 Threads;
+  DecodeTotals Batch;
+  Batch.Chunks = Depth;
+  Batch.CpuUs = Depth * (Model.Cpu.DecompressSetupUs +
+                         Model.Cpu.DecompressPerByteNs * 1e-3 *
+                             static_cast<double>(ChunkSize));
+  Result.CpuUs = quoteDecode(Model, Batch).CpuUs;
 
   // The framed format's measured ratio cost on the probe chunk (the
   // history reset + header overhead the two-level scheme trades for
@@ -827,15 +852,8 @@ ReadPipeline::ProbeResult ReadPipeline::probeMode() const {
   if (!Device || Probe.Payload.size() >= Chunk.size())
     return Result; // no device / store-raw data never reaches a kernel
 
-  const double Kernels = std::ceil(
-      Depth / static_cast<double>(Model.Gpu.DecompressBatchChunks));
-  const double PcieStreamUs =
-      Depth * (PayloadBytes + static_cast<double>(ChunkSize)) /
-      (Model.Pcie.GigabytesPerSec * 1e3);
-
-  // Lane-GPU path: plan on the pool, kernel + DMA on device lanes; the
-  // makespan is the busiest of the three (perfect stage overlap, the
-  // same first-order model the ledger uses).
+  // Lane-GPU path: plan on the pool, kernel + DMA on device lanes,
+  // priced over the real plan's slowest lane.
   if (const auto Plan = Decoder.plan(
           ByteSpan(Probe.Payload.data(), Probe.Payload.size()), ChunkSize)) {
     double SlowestLane = 0.0;
@@ -846,16 +864,14 @@ ReadPipeline::ProbeResult ReadPipeline::probeMode() const {
                                              Lane.TokenSwitches));
     const double ChunkExecUs =
         SlowestLane * static_cast<double>(Plan->Lanes.size());
-    const double PlanBusyUs =
-        Depth *
-        (Model.Cpu.PlanSetupUs +
-         Model.Cpu.PlanPerByteNs * 1e-3 * PayloadBytes) /
-        Threads;
-    const double GpuBusyUs =
-        Kernels * Model.Gpu.LaunchUs + Depth * ChunkExecUs;
-    const double PcieBusyUs =
-        Kernels * 2.0 * Model.Pcie.PerTransferUs + PcieStreamUs;
-    Result.GpuUs = std::max(PlanBusyUs, std::max(GpuBusyUs, PcieBusyUs));
+    Batch.PlanUs =
+        Depth * (Model.Cpu.PlanSetupUs +
+                 Model.Cpu.PlanPerByteNs * 1e-3 * PayloadBytes);
+    Batch.KernelFixedUs = Model.Gpu.LaunchUs;
+    Batch.ExecUs = Depth * ChunkExecUs;
+    Batch.StreamBytes =
+        Depth * (PayloadBytes + static_cast<double>(ChunkSize));
+    Result.GpuUs = quoteDecode(Model, Batch).DeviceUs;
   }
 
   // Warp-GPU path over the framed probe: O(sub-blocks) planning,
@@ -876,17 +892,13 @@ ReadPipeline::ProbeResult ReadPipeline::probeMode() const {
         ChunkExecUs +=
             Model.gpuWarpSubBlockUs(Sub.Tokens, Sub.Seg.OutputBytes,
                                     Sub.TokenSwitches, Sub.OverlapMatches);
-      const double PlanBusyUs = Depth * Model.Cpu.FramePlanUs / Threads;
-      const double GpuBusyUs =
-          Kernels * Model.Gpu.WarpDoorbellUs + Depth * ChunkExecUs;
-      const double FramedPcieUs =
-          Kernels * 2.0 * Model.Pcie.PerTransferUs +
-          Depth *
-              (static_cast<double>(Framed.Payload.size()) +
-               static_cast<double>(ChunkSize)) /
-              (Model.Pcie.GigabytesPerSec * 1e3);
-      Result.WarpUs =
-          std::max(PlanBusyUs, std::max(GpuBusyUs, FramedPcieUs));
+      Batch.PlanUs = Depth * Model.Cpu.FramePlanUs;
+      Batch.KernelFixedUs = Model.Gpu.WarpDoorbellUs;
+      Batch.ExecUs = Depth * ChunkExecUs;
+      Batch.StreamBytes =
+          Depth * (static_cast<double>(Framed.Payload.size()) +
+                   static_cast<double>(ChunkSize));
+      Result.WarpUs = quoteDecode(Model, Batch).DeviceUs;
     }
   }
 
