@@ -102,8 +102,7 @@ fault::Status DedupEngine::processBatch(
 
   // CPU hashing for everything the GPU did not take: chunk-parallel
   // across slices, one SHA-1 per chunk (§3.1: no data dependency
-  // between chunks in the hashing phase). Each chunk's cost goes to its
-  // own latency and to its slice's CPU charge.
+  // between chunks in the hashing phase).
   Pool.parallelForSlices(
       0, Count,
       [&](std::size_t Begin, std::size_t End, unsigned) {
