@@ -94,7 +94,6 @@ AutoSplitter::AutoSplitter(const Setup &S)
       }
       U.Owned = std::make_unique<GpuDevice>(S.Model, S.Ledger);
       U.Device = U.Owned.get();
-      U.Device->setDeviceIndex(K);
       U.Device->setMixedMode(S.Primary->mixedMode());
       U.Device->setObs(S.Obs);
       if (S.Faults)

@@ -46,9 +46,6 @@ public:
     }
   }
 
-  /// Bits written so far (excluding padding).
-  std::size_t bitCount() const { return Out.size() * 8 + Filled; }
-
 private:
   ByteVector &Out;
   std::uint64_t Accumulator = 0;

@@ -71,7 +71,6 @@ std::uint64_t ChunkStore::erase(std::uint64_t Location) {
     return 0;
   const std::uint64_t Freed = It->second.size();
   TotalStoredBytes -= Freed;
-  TotalFreedBytes += Freed;
   Blocks.erase(It);
   return Freed;
 }
@@ -86,11 +85,6 @@ std::uint64_t ChunkStore::storedBytes() const {
   return TotalStoredBytes;
 }
 
-std::uint64_t ChunkStore::freedBytes() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return TotalFreedBytes;
-}
-
 bool ChunkStore::corruptForTesting(std::uint64_t Location,
                                    std::size_t ByteOffset) {
   std::lock_guard<std::mutex> Lock(Mutex);
@@ -99,11 +93,4 @@ bool ChunkStore::corruptForTesting(std::uint64_t Location,
     return false;
   It->second[ByteOffset] ^= 0x5A;
   return true;
-}
-
-void ChunkStore::forEach(
-    const std::function<void(std::uint64_t, ByteSpan)> &Visit) const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  for (const auto &[Location, Block] : Blocks)
-    Visit(Location, ByteSpan(Block.data(), Block.size()));
 }

@@ -19,7 +19,6 @@
 #include "util/Bytes.h"
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -72,14 +71,6 @@ public:
   /// Encoded bytes of live chunks (headers included).
   std::uint64_t storedBytes() const;
 
-  /// Encoded bytes freed by `erase` since construction.
-  std::uint64_t freedBytes() const;
-
-  /// Visits every live chunk (persistence support). Iteration order is
-  /// unspecified; the callback must not reenter the store.
-  void forEach(
-      const std::function<void(std::uint64_t, ByteSpan)> &Visit) const;
-
   /// Fault injection for tests and scrub drills: XORs one byte of the
   /// stored block at \p Location. Returns false if absent or the
   /// offset is out of range.
@@ -89,7 +80,6 @@ private:
   mutable std::mutex Mutex;
   std::unordered_map<std::uint64_t, ByteVector> Blocks;
   std::uint64_t TotalStoredBytes = 0;
-  std::uint64_t TotalFreedBytes = 0;
 };
 
 } // namespace padre

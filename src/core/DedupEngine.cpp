@@ -235,7 +235,6 @@ void DedupEngine::offloadToGpu(
         KnownDuplicate[Item] = 0;
         ResolvedLocations[Item] = 0;
       }
-      ++GpuFallbackCount;
       if (GpuFallbacks)
         GpuFallbacks->add(1);
       continue;
@@ -277,7 +276,6 @@ fault::Status DedupEngine::handleFlushes(std::vector<FlushEvent> &Flushes) {
       } else {
         // The GPU table just misses these entries; probes fall through
         // to the CPU index.
-        ++GpuFallbackCount;
         if (GpuFallbacks)
           GpuFallbacks->add(1);
       }

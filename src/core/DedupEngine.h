@@ -108,14 +108,10 @@ public:
   /// any resulting bin drains (SSD log + GPU table update) as usual.
   fault::Status restoreEntry(const Fingerprint &Fp, std::uint64_t Location);
 
-  /// GPU sub-batches re-run on the CPU path after a device fault.
-  std::uint64_t gpuFallbackCount() const { return GpuFallbackCount; }
-
   /// Current adaptive offload fraction.
   double offloadFraction() const { return Offload; }
 
   const DedupIndex &index() const { return Index; }
-  const GpuBinTable *gpuTable() const { return GpuTable.get(); }
 
 private:
   /// Runs the GPU hash+probe kernels over the selected chunk indices;
@@ -156,7 +152,6 @@ private:
   // Ledger snapshot at the last adaptation step.
   double LastCpuBusy = 0.0;
   double LastGpuBusy = 0.0;
-  std::uint64_t GpuFallbackCount = 0;
   // Observability instruments (null = disabled), cached at construction.
   obs::LogHistogram *HitDepthHist = nullptr;
   obs::Gauge *OffloadGauge = nullptr;

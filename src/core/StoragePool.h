@@ -46,9 +46,6 @@ public:
   /// reference stays valid for the pool's lifetime.
   Volume &createVolume(std::uint64_t Blocks);
 
-  /// Number of volumes created.
-  std::size_t volumeCount() const { return Volumes.size(); }
-
   /// Volume \p Index, in creation order.
   Volume &volume(std::size_t Index) { return *Volumes[Index]; }
 

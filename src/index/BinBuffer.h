@@ -63,8 +63,6 @@ public:
   std::size_t totalEntries(std::uint32_t BinBegin,
                            std::uint32_t BinEnd) const;
 
-  std::size_t capacityPerBin() const { return CapacityPerBin; }
-
 private:
   struct Slot {
     ByteVector Suffixes; ///< flat, SuffixBytes per entry, newest last

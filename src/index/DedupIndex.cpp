@@ -14,22 +14,7 @@ using namespace padre;
 
 DedupIndex::DedupIndex(const DedupIndexConfig &Config)
     : Layout(Config.BinBits), Buffer(Layout, Config.BufferCapacityPerBin),
-      Tree(Layout, Config.MaxEntriesPerBin, Config.Seed),
-      Counters(std::clamp<std::uint64_t>(Config.Shards, 1,
-                                         Layout.binCount())) {}
-
-DedupIndex::ShardCounters &DedupIndex::countersOf(std::uint32_t Bin) {
-  return Counters[static_cast<std::uint64_t>(Bin) * Counters.size() >>
-                  Layout.binBits()];
-}
-
-std::uint64_t
-DedupIndex::sum(std::atomic<std::uint64_t> ShardCounters::*Counter) const {
-  std::uint64_t Total = 0;
-  for (const ShardCounters &Shard : Counters)
-    Total += (Shard.*Counter).load(std::memory_order_relaxed);
-  return Total;
-}
+      Tree(Layout, Config.MaxEntriesPerBin, Config.Seed) {}
 
 void DedupIndex::drainBin(std::uint32_t Bin,
                           std::vector<FlushEvent> &FlushOut) {
@@ -39,7 +24,7 @@ void DedupIndex::drainBin(std::uint32_t Bin,
   const std::size_t Evicted = Tree.mergeRun(
       Bin, ByteSpan(Event.Suffixes.data(), Event.Suffixes.size()),
       Event.Locations);
-  countersOf(Bin).Evictions.fetch_add(Evicted, std::memory_order_relaxed);
+  Counters.Evictions.fetch_add(Evicted, std::memory_order_relaxed);
   FlushOut.push_back(std::move(Event));
 }
 
@@ -48,24 +33,23 @@ LookupResult DedupIndex::processOne(std::uint32_t Bin, const Fingerprint &Fp,
                                     std::vector<FlushEvent> &LocalFlush) {
   std::uint8_t Suffix[Fingerprint::Size];
   Layout.extractSuffix(Fp, Suffix);
-  ShardCounters &Shard = countersOf(Bin);
 
   // Paper lookup order (§3.3): bin buffer first — "recently updated
   // chunks can reside in the bin buffer and chunks are more likely to
   // find duplicates in the bin buffer due to temporal locality".
   std::size_t Depth = 0;
   if (auto Hit = Buffer.lookup(Bin, Suffix, &Depth)) {
-    Shard.BufferHits.fetch_add(1, std::memory_order_relaxed);
+    Counters.BufferHits.fetch_add(1, std::memory_order_relaxed);
     return LookupResult{LookupOutcome::DupBuffer, *Hit,
                         static_cast<std::uint32_t>(Depth)};
   }
   if (auto Hit = Tree.lookup(Bin, Suffix)) {
-    Shard.TreeHits.fetch_add(1, std::memory_order_relaxed);
+    Counters.TreeHits.fetch_add(1, std::memory_order_relaxed);
     return LookupResult{LookupOutcome::DupTree, *Hit, 0};
   }
 
   // Unique chunk: stage it in the bin buffer; drain on fill.
-  Shard.UniqueInserts.fetch_add(1, std::memory_order_relaxed);
+  Counters.UniqueInserts.fetch_add(1, std::memory_order_relaxed);
   if (Buffer.insert(Bin, Suffix, Location))
     drainBin(Bin, LocalFlush);
   return LookupResult{LookupOutcome::Unique, Location};
@@ -109,7 +93,7 @@ void DedupIndex::processBatch(std::span<const Fingerprint> Fingerprints,
           const std::uint32_t Bin = static_cast<std::uint32_t>(*It >> 32);
           const std::uint32_t Item = static_cast<std::uint32_t>(*It);
           if (!KnownDuplicate.empty() && KnownDuplicate[Item]) {
-            countersOf(Bin).GpuHits.fetch_add(1, std::memory_order_relaxed);
+            Counters.GpuHits.fetch_add(1, std::memory_order_relaxed);
             Results[Item].Outcome = LookupOutcome::DupGpu;
             // Location already resolved by the caller from the GPU
             // metadata mirror; leave Results[Item].Location intact.
@@ -159,23 +143,23 @@ void DedupIndex::flushAll(std::vector<FlushEvent> &FlushOut) {
 }
 
 std::uint64_t DedupIndex::bufferHits() const {
-  return sum(&ShardCounters::BufferHits);
+  return Counters.BufferHits.load(std::memory_order_relaxed);
 }
 
 std::uint64_t DedupIndex::treeHits() const {
-  return sum(&ShardCounters::TreeHits);
+  return Counters.TreeHits.load(std::memory_order_relaxed);
 }
 
 std::uint64_t DedupIndex::gpuHits() const {
-  return sum(&ShardCounters::GpuHits);
+  return Counters.GpuHits.load(std::memory_order_relaxed);
 }
 
 std::uint64_t DedupIndex::uniqueInserts() const {
-  return sum(&ShardCounters::UniqueInserts);
+  return Counters.UniqueInserts.load(std::memory_order_relaxed);
 }
 
 std::uint64_t DedupIndex::evictions() const {
-  return sum(&ShardCounters::Evictions);
+  return Counters.Evictions.load(std::memory_order_relaxed);
 }
 
 std::size_t DedupIndex::treeEntries() const {
@@ -185,27 +169,4 @@ std::size_t DedupIndex::treeEntries() const {
 std::size_t DedupIndex::memoryBytes() const {
   return Tree.memoryBytes(0, Layout.binCount()) +
          Buffer.totalEntries(0, Layout.binCount()) * Layout.cpuEntryBytes();
-}
-
-IndexShardStats DedupIndex::shardStats(unsigned Shard) const {
-  assert(Shard < Counters.size() && "Shard id out of range");
-  const ShardCounters &C = Counters[Shard];
-  IndexShardStats Stats;
-  Stats.BufferHits = C.BufferHits.load(std::memory_order_relaxed);
-  Stats.TreeHits = C.TreeHits.load(std::memory_order_relaxed);
-  Stats.GpuHits = C.GpuHits.load(std::memory_order_relaxed);
-  Stats.UniqueInserts = C.UniqueInserts.load(std::memory_order_relaxed);
-  Stats.Evictions = C.Evictions.load(std::memory_order_relaxed);
-  // Shard S owns the bins B with floor(B·K/binCount) == S.
-  const std::uint64_t BinCount = Layout.binCount();
-  const std::uint64_t K = Counters.size();
-  Stats.BinBegin = static_cast<std::uint32_t>((Shard * BinCount + K - 1) / K);
-  Stats.BinEnd =
-      static_cast<std::uint32_t>(((Shard + 1) * BinCount + K - 1) / K);
-  Stats.TreeEntries = Tree.totalEntries(Stats.BinBegin, Stats.BinEnd);
-  Stats.MemoryBytes =
-      Tree.memoryBytes(Stats.BinBegin, Stats.BinEnd) +
-      Buffer.totalEntries(Stats.BinBegin, Stats.BinEnd) *
-          Layout.cpuEntryBytes();
-  return Stats;
 }

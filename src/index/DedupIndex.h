@@ -13,12 +13,6 @@
 /// (sequential SSD write + bin-tree merge + GPU-table update are
 /// performed by the engine, §3.3).
 ///
-/// Shard map (SERVICE.md): Config.Shards splits the bin space into K
-/// contiguous digest-prefix ranges, shard = bin·K/binCount. It is pure
-/// stats granularity — hit/insert/eviction counters are kept per shard
-/// and occupancy is walked over the shard's bin range — so lookup
-/// outcomes, flushes and totals are identical at every shard count.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef PADRE_INDEX_DEDUPINDEX_H
@@ -74,25 +68,6 @@ struct DedupIndexConfig {
   /// Bin-tree entries per bin (0 = unbounded); bounds index memory.
   std::size_t MaxEntriesPerBin = 0;
   std::uint64_t Seed = 0x5EED5EED5EEDULL;
-  /// Stats shards: contiguous digest-prefix ranges of the bin space
-  /// (clamped to [1, binCount]) that shardStats() reports separately.
-  /// Outcomes are identical at every shard count.
-  unsigned Shards = 1;
-};
-
-/// Point-in-time statistics of one index shard. Hit counters are
-/// cumulative; occupancy fields are current.
-struct IndexShardStats {
-  std::uint64_t BufferHits = 0;
-  std::uint64_t TreeHits = 0;
-  std::uint64_t GpuHits = 0;
-  std::uint64_t UniqueInserts = 0;
-  std::uint64_t Evictions = 0;
-  std::size_t TreeEntries = 0;
-  std::size_t MemoryBytes = 0;
-  /// First and one-past-last bin id routed to this shard.
-  std::uint32_t BinBegin = 0;
-  std::uint32_t BinEnd = 0;
 };
 
 /// Lock-free-by-partitioning dedup index (bin buffer + bin tree).
@@ -133,7 +108,7 @@ public:
   /// flush), merging into the tree as in processBatch.
   void flushAll(std::vector<FlushEvent> &FlushOut);
 
-  /// Cumulative per-stage hit counters (sums over shards).
+  /// Cumulative per-stage hit counters.
   std::uint64_t bufferHits() const;
   std::uint64_t treeHits() const;
   std::uint64_t gpuHits() const;
@@ -146,32 +121,7 @@ public:
   /// Index memory: tree entry storage plus buffered entries.
   std::size_t memoryBytes() const;
 
-  /// Stats shards (Config.Shards clamped to [1, binCount]).
-  unsigned shardCount() const {
-    return static_cast<unsigned>(Counters.size());
-  }
-
-  /// Counters and occupancy of shard \p Shard's bin range.
-  IndexShardStats shardStats(unsigned Shard) const;
-
 private:
-  /// Per-shard cumulative counters. Atomic because one shard's bins
-  /// may span two workers' slices of a batch.
-  struct ShardCounters {
-    std::atomic<std::uint64_t> BufferHits{0};
-    std::atomic<std::uint64_t> TreeHits{0};
-    std::atomic<std::uint64_t> GpuHits{0};
-    std::atomic<std::uint64_t> UniqueInserts{0};
-    std::atomic<std::uint64_t> Evictions{0};
-  };
-
-  /// Counters of the shard owning \p Bin.
-  ShardCounters &countersOf(std::uint32_t Bin);
-
-  /// Sums one counter over every shard.
-  std::uint64_t
-  sum(std::atomic<std::uint64_t> ShardCounters::*Counter) const;
-
   /// Runs the CPU path for one fingerprint (caller owns its bin).
   LookupResult processOne(std::uint32_t Bin, const Fingerprint &Fp,
                           std::uint64_t Location,
@@ -184,11 +134,23 @@ private:
   BinLayout Layout;
   BinBuffer Buffer;
   CpuBinStore Tree;
-  std::vector<ShardCounters> Counters;
 
-  /// processBatch scratch, kept across batches so the steady-state
-  /// write path makes no heap calls: batch items sorted by
-  /// (bin << 32 | item) and each worker's flush events.
+  /// Cumulative counters. Relaxed atomics, because every bin-parallel
+  /// worker of a batch bumps them; on a cache line of their own, so the
+  /// bumps do not evict the bin state the workers read.
+  struct alignas(64) CounterSet {
+    std::atomic<std::uint64_t> BufferHits{0};
+    std::atomic<std::uint64_t> TreeHits{0};
+    std::atomic<std::uint64_t> GpuHits{0};
+    std::atomic<std::uint64_t> UniqueInserts{0};
+    std::atomic<std::uint64_t> Evictions{0};
+  } Counters;
+
+  /// processBatch scratch, kept across batches so its capacity is
+  /// reused: the batch items sorted by (bin << 32 | item) and each
+  /// worker's flush-event list. A batch still allocates: every drain
+  /// builds a FlushEvent whose Suffixes and Locations vectors move to
+  /// the caller, and the pool queues a task per worker slice.
   std::vector<std::uint64_t> SortedItems;
   std::vector<std::vector<FlushEvent>> FlushPerWorker;
 };

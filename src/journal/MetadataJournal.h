@@ -62,7 +62,6 @@ public:
   /// records. The next append is assigned \p BaseSeq.
   fault::Status truncate(std::uint64_t BaseSeq);
 
-  std::uint64_t nextSeq() const { return NextSeq; }
   /// Last sequence flushed by commit() (0 before the first commit).
   std::uint64_t committedSeq() const { return CommittedSeq; }
   std::size_t pendingRecords() const { return PendingRecords; }

@@ -24,22 +24,6 @@ VolumeService::VolumeService(const Platform &Plat,
       "padre_svc_locality_score",
       "Per-tenant locality score (EWMA of inline duplicate fractions)",
       1.0 / 1024.0, 2.0, 11);
-  const DedupEngine *Engine = Pipeline.dedupEngine();
-  if (!Engine)
-    return;
-  const unsigned Shards = Engine->index().shardCount();
-  for (unsigned S = 0; S < Shards; ++S) {
-    const std::string Label = "{shard=\"" + std::to_string(S) + "\"}";
-    ShardEntriesGauges.push_back(&Metrics->gauge(
-        "padre_svc_shard_entries" + Label,
-        "Bin-tree entries resident in this index shard"));
-    ShardHitsGauges.push_back(&Metrics->gauge(
-        "padre_svc_shard_hits" + Label,
-        "Cumulative duplicate hits resolved by this index shard"));
-    ShardMemoryGauges.push_back(&Metrics->gauge(
-        "padre_svc_shard_memory_bytes" + Label,
-        "Index memory occupied by this shard (tree + buffered)"));
-  }
 }
 
 VolumeService::TenantId
@@ -196,10 +180,8 @@ bool VolumeService::pump() {
   }
   if (!Picks.empty())
     dispatchCoalesced(Picks);
-  if (Any) {
+  if (Any)
     rescoreResidency();
-    updateShardMetrics();
-  }
   return Any;
 }
 
@@ -345,14 +327,12 @@ ServiceSweepStats VolumeService::sweepDeferred() {
       ++Stats.EntriesExpired;
     }
   }
-  updateShardMetrics();
   return Stats;
 }
 
 void VolumeService::finish() {
   drain();
   Pipeline.finish();
-  updateShardMetrics();
 }
 
 std::optional<ByteVector> VolumeService::readBlocks(TenantId Tenant,
@@ -375,20 +355,4 @@ TenantStats VolumeService::tenantStats(TenantId Tenant) const {
   Stats.Resident = T.Resident;
   Stats.TrackedEntries = T.TrackedFps.size();
   return Stats;
-}
-
-void VolumeService::updateShardMetrics() {
-  if (ShardEntriesGauges.empty())
-    return;
-  const DedupEngine *Engine = Pipeline.dedupEngine();
-  if (!Engine)
-    return;
-  const DedupIndex &Index = Engine->index();
-  for (unsigned S = 0; S < ShardEntriesGauges.size(); ++S) {
-    const IndexShardStats Stats = Index.shardStats(S);
-    ShardEntriesGauges[S]->set(static_cast<double>(Stats.TreeEntries));
-    ShardHitsGauges[S]->set(static_cast<double>(
-        Stats.BufferHits + Stats.TreeHits + Stats.GpuHits));
-    ShardMemoryGauges[S]->set(static_cast<double>(Stats.MemoryBytes));
-  }
 }

@@ -4,9 +4,8 @@
 /// The multi-tenant volume service: N tenant volumes behind an
 /// admission/dispatch front-end, all sharing one inline reduction
 /// pipeline, one chunk reference domain and one global fingerprint
-/// index (index/DedupIndex.h, whose shard map splits its stats by
-/// digest prefix). This is the ROADMAP's "many
-/// users over one dedup domain" tier built from existing parts — the
+/// index (index/DedupIndex.h). This is the ROADMAP's "many users over
+/// one dedup domain" tier built from existing parts — the
 /// StoragePool sharing pattern plus three service-only mechanisms:
 ///
 ///   * per-tenant quotas — a submitted write that would push the
@@ -25,8 +24,7 @@
 ///
 /// With the defaults (no budget, one tenant) the service is a pure
 /// pass-through: results and ledger charges are bit-identical to
-/// driving a Volume directly, at every index shard count
-/// (tests/test_service.cpp). See SERVICE.md for the full architecture.
+/// driving a Volume directly (tests/test_service.cpp). See SERVICE.md for the full architecture.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,9 +65,7 @@ struct TenantConfig {
 
 /// Service-wide knobs.
 struct ServiceConfig {
-  /// Shared pipeline (Pipeline.Dedup.Index.Shards sets the per-shard
-  /// index stats granularity; obs sinks and fault plans attach here
-  /// too).
+  /// Shared pipeline (obs sinks and fault plans attach here too).
   PipelineConfig Pipeline;
   /// Fingerprint-index memory budget for the prioritized cache tier
   /// (bytes). 0 = unlimited: every tenant stays inline-resident and
@@ -234,9 +230,6 @@ private:
 
   void demote(TenantState &T);
 
-  /// Pushes per-shard occupancy/hit gauges (no-op without metrics).
-  void updateShardMetrics();
-
   std::size_t entryBytes() const;
 
   ServiceConfig Config;
@@ -246,9 +239,6 @@ private:
   std::uint64_t Round = 0;
   std::uint64_t DispatchSeq = 0;
   obs::LogHistogram *LocalityHist = nullptr;
-  std::vector<obs::Gauge *> ShardEntriesGauges;
-  std::vector<obs::Gauge *> ShardHitsGauges;
-  std::vector<obs::Gauge *> ShardMemoryGauges;
 };
 
 } // namespace padre

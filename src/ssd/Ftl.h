@@ -151,7 +151,6 @@ public:
   std::uint64_t livePages() const { return L2P.size(); }
   std::uint64_t freeBlocks() const { return FreeList.size(); }
   std::uint64_t capacityPages() const { return LogicalCapacityPages; }
-  std::uint64_t rawPages() const { return TotalPages; }
   const FtlConfig &config() const { return Config; }
 
   /// Full cross-check of the mapping invariants: forward and reverse

@@ -2,17 +2,19 @@
 ///
 /// \file
 /// Oracle property-test harness for the fingerprint index: replay one
-/// operation sequence against two DedupIndex configurations and diff
-/// everything observable — per-op outcomes (including buffer depths and
-/// duplicate locations), flush-event streams, cumulative counters,
-/// occupancy, and the CPU-lane ledger charge each batch's outcomes
-/// would produce in the dedup engine.
+/// operation sequence against two identically configured DedupIndexes,
+/// each driven by its own worker pool, and diff everything observable —
+/// per-op outcomes (including buffer depths and duplicate locations),
+/// flush-event streams, cumulative counters, occupancy, and the
+/// CPU-lane ledger charge each batch's outcomes would produce in the
+/// dedup engine.
 ///
-/// The harness is how "the shard map is pure stats granularity" is made
-/// a checkable property instead of a comment: test_index replays
-/// Shards = 1 against Shards = K on several op mixes. Any divergence
-/// fails with the op number via SCOPED_TRACE, so a shrinking seed hunt
-/// is a one-line loop.
+/// processBatch partitions the bin space into one slice per worker, and
+/// the harness is how "the worker count never changes a result" is made
+/// a checkable property instead of a comment: test_index replays a
+/// 1-worker pool against a 4-worker pool on several op mixes. Any
+/// divergence fails with the op number via SCOPED_TRACE, so a shrinking
+/// seed hunt is a one-line loop.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +30,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -156,12 +157,6 @@ inline void expectSameTotals(const DedupIndex &Oracle,
   EXPECT_EQ(Oracle.memoryBytes(), Candidate.memoryBytes());
 }
 
-/// Builds the index \p Config selects.
-inline std::unique_ptr<DedupIndex>
-buildIndex(const DedupIndexConfig &Config) {
-  return std::make_unique<DedupIndex>(Config);
-}
-
 /// Replays \p Ops against one index, discarding results and flushes
 /// (for tests that inspect the index state afterwards).
 inline void replay(DedupIndex &Index, std::span<const IndexOp> Ops,
@@ -191,11 +186,13 @@ inline void replay(DedupIndex &Index, std::span<const IndexOp> Ops,
   }
 }
 
-/// Replays \p Ops against both indexes, diffing per-op results, flush
-/// events, modelled ledger charges, and running totals after every op.
-inline void replayAndCompare(DedupIndex &Oracle, DedupIndex &Candidate,
-                             std::span<const IndexOp> Ops,
-                             ThreadPool &Pool) {
+/// Replays \p Ops against both indexes, each batch through its own
+/// pool, diffing per-op results, flush events, modelled ledger charges,
+/// and running totals after every op.
+inline void replayAndCompare(DedupIndex &Oracle, ThreadPool &OraclePool,
+                             DedupIndex &Candidate,
+                             ThreadPool &CandidatePool,
+                             std::span<const IndexOp> Ops) {
   const CostModel Model;
   std::vector<FlushEvent> OracleFlush;
   std::vector<FlushEvent> CandidateFlush;
@@ -211,10 +208,11 @@ inline void replayAndCompare(DedupIndex &Oracle, DedupIndex &Candidate,
       const std::size_t Size = Op.Fps.size();
       OracleResults.assign(Size, LookupResult());
       CandidateResults.assign(Size, LookupResult());
-      Oracle.processBatch(Op.Fps, Op.Locations, Op.KnownDuplicate, Pool,
-                          OracleResults, OracleFlush);
-      Candidate.processBatch(Op.Fps, Op.Locations, Op.KnownDuplicate, Pool,
-                             CandidateResults, CandidateFlush);
+      Oracle.processBatch(Op.Fps, Op.Locations, Op.KnownDuplicate,
+                          OraclePool, OracleResults, OracleFlush);
+      Candidate.processBatch(Op.Fps, Op.Locations, Op.KnownDuplicate,
+                             CandidatePool, CandidateResults,
+                             CandidateFlush);
       for (std::size_t I = 0; I < Size; ++I) {
         SCOPED_TRACE("item " + std::to_string(I));
         EXPECT_EQ(OracleResults[I].Outcome, CandidateResults[I].Outcome);
@@ -252,16 +250,15 @@ inline void replayAndCompare(DedupIndex &Oracle, DedupIndex &Candidate,
   }
 }
 
-/// Builds both indexes from configs and replays (the common shape:
-/// oracle = Shards 1, candidate = the same config at Shards K).
-inline void replayConfigsAndCompare(const DedupIndexConfig &OracleConfig,
-                                    const DedupIndexConfig &CandidateConfig,
-                                    std::span<const IndexOp> Ops,
-                                    unsigned Threads = 4) {
-  DedupIndex Oracle(OracleConfig);
-  DedupIndex Candidate(CandidateConfig);
-  ThreadPool Pool(Threads);
-  replayAndCompare(Oracle, Candidate, Ops, Pool);
+/// Builds two indexes from \p Config and replays \p Ops through a
+/// 1-worker pool (oracle) and a 4-worker pool (candidate).
+inline void replayWorkersAndCompare(const DedupIndexConfig &Config,
+                                    std::span<const IndexOp> Ops) {
+  DedupIndex Oracle(Config);
+  DedupIndex Candidate(Config);
+  ThreadPool OraclePool(1);
+  ThreadPool CandidatePool(4);
+  replayAndCompare(Oracle, OraclePool, Candidate, CandidatePool, Ops);
 }
 
 } // namespace oracle

@@ -1,8 +1,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Unit tests for the hash module: SHA-1 / SHA-256 against official
-/// test vectors, CRC-32C check values, FNV-1a, and the fingerprint
+/// Unit tests for the hash module: SHA-1 against official test
+/// vectors, CRC-32C check values, FNV-1a, and the fingerprint
 /// bin/prefix arithmetic the dedup index relies on.
 ///
 //===----------------------------------------------------------------------===//
@@ -11,7 +11,6 @@
 #include "hash/Fingerprint.h"
 #include "hash/Fnv.h"
 #include "hash/Sha1.h"
-#include "hash/Sha256.h"
 #include "util/Random.h"
 
 #include <gtest/gtest.h>
@@ -91,43 +90,6 @@ TEST(Sha1, PaddingBoundaryLengths) {
   for (std::size_t I = 0; I < Digests.size(); ++I)
     for (std::size_t J = I + 1; J < Digests.size(); ++J)
       EXPECT_NE(Digests[I], Digests[J]);
-}
-
-//===----------------------------------------------------------------------===//
-// SHA-256 (FIPS 180-2 vectors)
-//===----------------------------------------------------------------------===//
-
-TEST(Sha256, EmptyString) {
-  EXPECT_EQ(
-      toHex(ByteSpan(Sha256::digest(bytesOf("")).data(), 32)),
-      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-}
-
-TEST(Sha256, Abc) {
-  EXPECT_EQ(
-      toHex(ByteSpan(Sha256::digest(bytesOf("abc")).data(), 32)),
-      "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-}
-
-TEST(Sha256, TwoBlockMessage) {
-  EXPECT_EQ(
-      toHex(ByteSpan(
-          Sha256::digest(bytesOf(
-                             "abcdbcdecdefdefgefghfghighijhijkijkljklmklmn"
-                             "lmnomnopnopq"))
-              .data(),
-          32)),
-      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
-}
-
-TEST(Sha256, MillionAs) {
-  Sha256 Context;
-  const ByteVector Block(1000, 'a');
-  for (int I = 0; I < 1000; ++I)
-    Context.update(ByteSpan(Block.data(), Block.size()));
-  EXPECT_EQ(
-      toHex(ByteSpan(Context.final().data(), 32)),
-      "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
 //===----------------------------------------------------------------------===//

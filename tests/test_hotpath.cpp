@@ -12,8 +12,8 @@
 ///  2. Allocator poisoning — arena reset + reuse across batches must
 ///     never leak stale chunk refs into recipes.
 ///
-/// The index's own equivalence checks (shard counts, worker counts,
-/// pinned per-shard stats) live in tests/test_index.cpp.
+/// The index's own equivalence checks (a 4-worker pool against a
+/// 1-worker pool, pinned counter totals) live in tests/test_index.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -152,7 +152,6 @@ TEST(ArenaHotpath, RecipeStableAcrossArenaReuse) {
   const ByteVector Data = goldenStream();
   PipelineConfig Config;
   Config.Dedup.Index.BinBits = 8;
-  Config.Dedup.Index.Shards = 4;
   Config.BatchChunks = 16; // small batches -> frequent resets
   ReductionPipeline Pipeline(Platform::paper(), Config);
 

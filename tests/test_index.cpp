@@ -3,8 +3,8 @@
 /// \file
 /// Tests for the index module: bin layout arithmetic (prefix removal),
 /// bin buffer semantics, bin tree merge/eviction, GPU bin table, and
-/// the lock-free batch facade including flush events, and the shard
-/// map's stats granularity (oracle replays and pinned per-shard stats).
+/// the lock-free batch facade including flush events, and its
+/// worker-count equivalence (oracle replays and pinned counter totals).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -543,99 +543,77 @@ TEST_F(IndexFixture, MemoryBoundedIndexMissesSomeDuplicates) {
 }
 
 //===----------------------------------------------------------------------===//
-// Oracle replay: Shards = K against Shards = 1
+// Oracle replay: a 4-worker pool against a 1-worker pool
 //===----------------------------------------------------------------------===//
 
-TEST(ShardedOracle, CompositeMatchesPlainIndexUnderRandomOps) {
-  // The OracleCheck harness replays one op sequence at Shards = 1 and
-  // Shards = K: the shard map must be pure stats granularity.
-  DedupIndexConfig Serial;
-  Serial.BinBits = 8;
-  Serial.BufferCapacityPerBin = 4;
-  for (unsigned Shards : {2u, 5u, 16u}) {
-    SCOPED_TRACE("shards " + std::to_string(Shards));
-    DedupIndexConfig Sharded = Serial;
-    Sharded.Shards = Shards;
-    Random Rng(0x51AB + Shards);
+TEST(WorkerOracle, FourWorkersMatchOneUnderRandomOps) {
+  // The OracleCheck harness replays one op sequence through a 1-worker
+  // and a 4-worker pool: the per-worker bin slices must never change a
+  // result.
+  DedupIndexConfig Config;
+  Config.BinBits = 8;
+  Config.BufferCapacityPerBin = 4;
+  for (unsigned Salt : {2u, 5u, 16u}) {
+    SCOPED_TRACE("salt " + std::to_string(Salt));
+    Random Rng(0x51AB + Salt);
     const std::vector<oracle::IndexOp> Ops =
         oracle::randomOps(Rng, 200, /*Universe=*/512);
-    oracle::replayConfigsAndCompare(Serial, Sharded, Ops);
+    oracle::replayWorkersAndCompare(Config, Ops);
   }
 }
 
-TEST(ShardedOracle, BoundedCompositeEvictsIdentically) {
-  DedupIndexConfig Serial;
-  Serial.BinBits = 6;
-  Serial.BufferCapacityPerBin = 2;
-  Serial.MaxEntriesPerBin = 4;
-  DedupIndexConfig Sharded = Serial;
-  Sharded.Shards = 4;
+TEST(WorkerOracle, BoundedIndexEvictsIdentically) {
+  DedupIndexConfig Config;
+  Config.BinBits = 6;
+  Config.BufferCapacityPerBin = 2;
+  Config.MaxEntriesPerBin = 4;
   Random Rng(0xE71C);
   const std::vector<oracle::IndexOp> Ops =
       oracle::randomOps(Rng, 200, /*Universe=*/2048, /*MaxBatch=*/24);
-  oracle::replayConfigsAndCompare(Serial, Sharded, Ops);
+  oracle::replayWorkersAndCompare(Config, Ops);
 }
 
-class OracleShardTest : public ::testing::TestWithParam<unsigned> {};
+class OracleWorkerTest : public ::testing::TestWithParam<unsigned> {};
 
-TEST_P(OracleShardTest, GpuResolvedBatches) {
+TEST_P(OracleWorkerTest, GpuResolvedBatches) {
   // ~1/8 of batch items arrive GPU-resolved: the DupGpu bypass must
-  // count into the owning shard and leave the caller's location alone.
-  DedupIndexConfig Serial;
-  Serial.BinBits = 8;
-  Serial.BufferCapacityPerBin = 4;
-  DedupIndexConfig Sharded = Serial;
-  Sharded.Shards = GetParam();
+  // count once whichever worker owns the bin and leave the caller's
+  // location alone.
+  DedupIndexConfig Config;
+  Config.BinBits = 8;
+  Config.BufferCapacityPerBin = 4;
   Random Rng(0x6B75 ^ GetParam());
   const std::vector<oracle::IndexOp> Ops = oracle::randomOps(
       Rng, 200, /*Universe=*/512, /*MaxBatch=*/48, /*WithKnown=*/true);
-  oracle::replayConfigsAndCompare(Serial, Sharded, Ops);
+  oracle::replayWorkersAndCompare(Config, Ops);
 }
 
-INSTANTIATE_TEST_SUITE_P(ShardCounts, OracleShardTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, OracleWorkerTest,
                          ::testing::Values(1u, 2u, 4u, 8u));
 
 TEST(OracleEquivalence, SingleBinPathologicalStream) {
   // Every fingerprint in one of two bins: maximal drain pressure and
-  // the deepest buffer scans, with each shard owning a single bin.
-  // Identities are drawn small so collisions recur fast.
-  DedupIndexConfig Serial;
-  Serial.BinBits = 1;
-  Serial.BufferCapacityPerBin = 2;
-  Serial.MaxEntriesPerBin = 8;
-  DedupIndexConfig Sharded = Serial;
-  Sharded.Shards = 2;
+  // the deepest buffer scans, with two of the four workers owning a
+  // single bin each and the other two idle. Identities are drawn small
+  // so collisions recur fast.
+  DedupIndexConfig Config;
+  Config.BinBits = 1;
+  Config.BufferCapacityPerBin = 2;
+  Config.MaxEntriesPerBin = 8;
   Random Rng(7);
   const std::vector<oracle::IndexOp> Ops =
       oracle::randomOps(Rng, 200, /*Universe=*/64, /*MaxBatch=*/16);
-  oracle::replayConfigsAndCompare(Serial, Sharded, Ops);
+  oracle::replayWorkersAndCompare(Config, Ops);
 }
 
 //===----------------------------------------------------------------------===//
-// Per-shard stats pinned to constants
+// Index totals pinned to constants
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Every IndexShardStats field of one shard after the pinned replay.
-struct PinnedShard {
-  std::uint64_t BufferHits, TreeHits, GpuHits, UniqueInserts, Evictions;
-  std::size_t TreeEntries, MemoryBytes;
-  std::uint32_t BinBegin, BinEnd;
-};
-
-struct PinnedCase {
-  unsigned Shards;
-  std::vector<PinnedShard> Stats;
-};
-
-} // namespace
-
 // One fixed op sequence (bounded bins, so evictions fire; GPU-resolved
-// items, so GpuHits moves) replayed at several shard counts. The shard
-// map is pure stats granularity: the constants below partition the
-// same totals differently per shard count and must never move.
-TEST(IndexShardPinned, PerShardStatsAtEveryShardCount) {
+// items, so GpuHits moves) replayed through a 4-worker pool. The
+// counters and occupancy it leaves must never move.
+TEST(IndexTotalsPinned, CountersAndOccupancyAfterPinnedReplay) {
   DedupIndexConfig Config;
   Config.BinBits = 6;
   Config.BufferCapacityPerBin = 2;
@@ -644,65 +622,14 @@ TEST(IndexShardPinned, PerShardStatsAtEveryShardCount) {
   const std::vector<oracle::IndexOp> Ops = oracle::randomOps(
       Rng, 250, /*Universe=*/2048, /*MaxBatch=*/32, /*WithKnown=*/true);
 
-  const std::vector<PinnedCase> Cases = {
-      // {BufferHits, TreeHits, GpuHits, UniqueInserts, Evictions,
-      //  TreeEntries, MemoryBytes, BinBegin, BinEnd}
-      {1,
-       {
-           {23, 202, 256, 1693, 1416, 256, 7672, 0, 64},
-       }},
-      {2,
-       {
-           {13, 97, 129, 815, 676, 128, 3892, 0, 32},
-           {10, 105, 127, 878, 740, 128, 3780, 32, 64},
-       }},
-      {4,
-       {
-           {6, 46, 60, 413, 344, 64, 1932, 0, 16},
-           {7, 51, 69, 402, 332, 64, 1960, 16, 32},
-           {4, 46, 63, 439, 370, 64, 1876, 32, 48},
-           {6, 59, 64, 439, 370, 64, 1904, 48, 64},
-       }},
-      {5,
-       {
-           {5, 38, 49, 345, 290, 52, 1540, 0, 13},
-           {7, 38, 51, 326, 269, 52, 1596, 13, 26},
-           {3, 46, 62, 379, 320, 52, 1596, 26, 39},
-           {5, 33, 37, 319, 265, 52, 1512, 39, 52},
-           {3, 47, 57, 324, 272, 48, 1428, 52, 64},
-       }},
-      {8,
-       {
-           {0, 28, 21, 192, 157, 32, 980, 0, 8},
-           {6, 18, 39, 221, 187, 32, 952, 8, 16},
-           {5, 19, 29, 201, 167, 32, 952, 16, 24},
-           {2, 32, 40, 201, 165, 32, 1008, 24, 32},
-           {3, 27, 42, 257, 220, 32, 980, 32, 40},
-           {1, 19, 21, 182, 150, 32, 896, 40, 48},
-           {4, 24, 24, 226, 190, 32, 980, 48, 56},
-           {2, 35, 40, 213, 180, 32, 924, 56, 64},
-       }},
-  };
-  for (const PinnedCase &Case : Cases) {
-    SCOPED_TRACE("shards " + std::to_string(Case.Shards));
-    Config.Shards = Case.Shards;
-    const auto Index = oracle::buildIndex(Config);
-    ThreadPool Pool(4);
-    oracle::replay(*Index, Ops, Pool);
-    ASSERT_EQ(Index->shardCount(), Case.Stats.size());
-    for (unsigned S = 0; S < Index->shardCount(); ++S) {
-      SCOPED_TRACE("shard " + std::to_string(S));
-      const IndexShardStats Got = Index->shardStats(S);
-      const PinnedShard &Want = Case.Stats[S];
-      EXPECT_EQ(Got.BufferHits, Want.BufferHits);
-      EXPECT_EQ(Got.TreeHits, Want.TreeHits);
-      EXPECT_EQ(Got.GpuHits, Want.GpuHits);
-      EXPECT_EQ(Got.UniqueInserts, Want.UniqueInserts);
-      EXPECT_EQ(Got.Evictions, Want.Evictions);
-      EXPECT_EQ(Got.TreeEntries, Want.TreeEntries);
-      EXPECT_EQ(Got.MemoryBytes, Want.MemoryBytes);
-      EXPECT_EQ(Got.BinBegin, Want.BinBegin);
-      EXPECT_EQ(Got.BinEnd, Want.BinEnd);
-    }
-  }
+  DedupIndex Index(Config);
+  ThreadPool Pool(4);
+  oracle::replay(Index, Ops, Pool);
+  EXPECT_EQ(Index.bufferHits(), 23u);
+  EXPECT_EQ(Index.treeHits(), 202u);
+  EXPECT_EQ(Index.gpuHits(), 256u);
+  EXPECT_EQ(Index.uniqueInserts(), 1693u);
+  EXPECT_EQ(Index.evictions(), 1416u);
+  EXPECT_EQ(Index.treeEntries(), 256u);
+  EXPECT_EQ(Index.memoryBytes(), 7672u);
 }

@@ -10,7 +10,6 @@
 #include "util/Bytes.h"
 #include "util/Random.h"
 #include "util/Stats.h"
-#include "util/StopWatch.h"
 #include "util/ThreadPool.h"
 
 #include <gtest/gtest.h>
@@ -270,15 +269,6 @@ TEST(Bytes, AppendBytes) {
   const std::uint8_t More[] = {3, 4, 5};
   appendBytes(Out, ByteSpan(More, 3));
   EXPECT_EQ(Out, (ByteVector{1, 2, 3, 4, 5}));
-}
-
-TEST(StopWatch, MeasuresForwardTime) {
-  StopWatch Watch;
-  const double First = Watch.seconds();
-  EXPECT_GE(First, 0.0);
-  EXPECT_GE(Watch.seconds(), First);
-  Watch.restart();
-  EXPECT_LT(Watch.seconds(), 1.0);
 }
 
 //===----------------------------------------------------------------------===//

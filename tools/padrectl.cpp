@@ -28,65 +28,17 @@
 ///                                acknowledged write
 ///   serve     [options]          multi-tenant service demo: N tenants
 ///                                behind weighted-fair dispatch over
-///                                one sharded global index, with
-///                                quotas and the prioritized cache
-///                                tier (see SERVICE.md)
+///                                one global index, with quotas and
+///                                the prioritized cache tier (see
+///                                SERVICE.md)
 ///   tenant    [options]          single-tenant parity check: the same
 ///                                stream through a direct Volume and
 ///                                through the VolumeService must be
 ///                                bit-identical (results and ledger
-///                                charges) at the chosen shard count
+///                                charges)
 ///
-/// Common options:
-///   --platform paper|no-gpu|weak-gpu|fast-gpu   (default paper)
-///   --mode cpu-only|gpu-dedup|gpu-compress|gpu-both|auto  (default auto)
-///   --bytes N        stream size in bytes        (default 16 MiB)
-///   --dedup D        workload dedup ratio        (default 2.0)
-///   --comp C         workload compression ratio  (default 2.0)
-///   --chunk N        chunk size in bytes         (default 4096)
-///   --entropy        enable the Huffman entropy stage
-///   --verify-dedup   byte-compare every digest match
-///   --cache N        read-cache capacity in bytes (default off)
-///   --chunking fixed|rabin|fastcdc   (run only; default fixed)
-///   --threads N      override the platform's CPU thread count (run)
-///   --seed N         workload seed               (default 42)
-///   --image PATH     (volume) save/load the volume image here
-///   --read-batch N   restore batch depth          (default 256)
-///   --read-mode cpu|gpu|warp|auto   restore decode mode (default auto)
-///   --sub-blocks N   framed sub-blocks per chunk (1 = unframed v1;
-///                    >1 stores decode-v2 frames the warp mode needs)
-///   --backends cpu,gpu,gpu2   enable the multi-backend splitter over
-///                    the listed backends (gpu2 = two modelled GPUs);
-///                    write batches are domain-decomposed across them
-///   --split auto|cpu|gpu   splitter policy (default auto: the
-///                    occupancy-balancing tuner picks the fraction)
-///   --tuner-window N EWMA window of the splitter's rate tuner
-///   --readahead N    restore readahead chunks per run (default 8)
-///   --journal PATH       (recover) metadata WAL path (padre.wal)
-///   --checkpoint PATH    (recover) checkpoint path (padre.ckpt)
-///   --group-commit N     (recover) ops per group commit (default 1)
-///   --checkpoint-every N (recover) checkpoint every N ops (default 0)
-///   --tenants N          (serve) tenant count            (default 3)
-///   --rounds N           (serve) dispatch rounds         (default 12)
-///   --shards N           (serve/tenant) index shards     (default 4)
-///   --index-budget N     (serve) inline index budget, bytes (default 0
-///                        = unlimited / pass-through)
-///   --policy prioritized|lru   (serve) cache-tier policy
-///   --quota N            (serve) per-tenant quota, bytes (default 0)
-///   --fault-plan SPEC  deterministic fault injection (DESIGN.md):
-///       seed=N;retries=N;<site>:<kind>:<trigger>[;...]
-///   --trace-out FILE.json    write a Chrome trace_event span file
-///                            (open in Perfetto / about:tracing)
-///   --metrics-out FILE.prom  write Prometheus text-format metrics
-///   --scenario SHAPE     (replay) sequential|uniform|skewed-hot|
-///                        bursty-hot|day-night  (default skewed-hot)
-///   --gc-every N         (replay) run volume GC every N ops
-///   --raw                (replay) bypass reduction (writeBlocksRaw)
-///   --ftl                (replay) page-level FTL under the SSD model
-///   --ftl-blocks N  --ftl-pages-per-block N  --ftl-op PCT
-///                        (replay) FTL geometry and over-provisioning
-///
-/// Options also accept the --opt=value spelling. See OBSERVABILITY.md
+/// usage() lists every option; run padrectl without arguments to print
+/// it. Options also accept the --opt=value spelling. See OBSERVABILITY.md
 /// for the span schema and metric catalogue.
 ///
 //===----------------------------------------------------------------------===//
@@ -151,7 +103,6 @@ struct Options {
   std::size_t CheckpointEveryOps = 0;
   unsigned Tenants = 3;
   std::uint64_t Rounds = 12;
-  unsigned Shards = 4;
   std::size_t IndexBudget = 0;
   CachePolicy Policy = CachePolicy::Prioritized;
   std::uint64_t QuotaBytes = 0;
@@ -193,8 +144,7 @@ void usage() {
       "      page-level FTL; geometry via --ftl-blocks N\n"
       "      --ftl-pages-per-block N  --ftl-op PCT\n"
       "  --tenants N  --rounds N  --quota N   (serve) tenant workload\n"
-      "  --shards N  --index-budget N  --policy prioritized|lru\n"
-      "      (serve/tenant) sharded global index + cache tier\n"
+      "  --index-budget N  --policy prioritized|lru   (serve) cache tier\n"
       "  --fault-plan SPEC   inject faults, e.g.\n"
       "      'seed=7;ssd-read:error:p=0.01;gpu-kernel:hang:every=50'\n"
       "      sites: ssd-read ssd-write gpu-kernel gpu-dma destage\n"
@@ -396,8 +346,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       NumberOk = parseNumber(Value, Opts.Tenants);
     } else if (Arg == "--rounds" && NextValue(Value)) {
       NumberOk = parseNumber(Value, Opts.Rounds);
-    } else if (Arg == "--shards" && NextValue(Value)) {
-      NumberOk = parseNumber(Value, Opts.Shards);
     } else if (Arg == "--index-budget" && NextValue(Value)) {
       NumberOk = parseNumber(Value, Opts.IndexBudget);
     } else if (Arg == "--quota" && NextValue(Value)) {
@@ -463,8 +411,7 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
   }
   if (Opts.Bytes == 0 || Opts.ChunkSize == 0 || Opts.DedupRatio < 1.0 ||
       Opts.CompressRatio < 1.0 || Opts.ReadBatch == 0 ||
-      Opts.PipelineDepth == 0 || Opts.Tenants == 0 || Opts.Rounds == 0 ||
-      Opts.Shards == 0) {
+      Opts.PipelineDepth == 0 || Opts.Tenants == 0 || Opts.Rounds == 0) {
     std::fprintf(stderr, "error: invalid numeric option\n");
     return false;
   }
@@ -1000,7 +947,6 @@ int commandServe(const Options &OptsIn) {
   FaultSetup Faults;
   ServiceConfig Config;
   Config.Pipeline = pipelineConfigFor(Opts, Mode);
-  Config.Pipeline.Dedup.Index.Shards = Opts.Shards;
   Config.IndexMemoryBudget = Opts.IndexBudget;
   Config.Policy = Opts.Policy;
   Obs.attach(Opts, Config.Pipeline);
@@ -1035,11 +981,10 @@ int commandServe(const Options &OptsIn) {
   Service.finish();
   const ServiceSweepStats Sweep = Service.sweepDeferred();
 
-  std::printf("service on %s: %u tenants, %llu rounds, %u index "
-              "shard%s, policy %s, budget %s\n\n",
+  std::printf("service on %s: %u tenants, %llu rounds, policy %s, "
+              "budget %s\n\n",
               Opts.Plat.Name.c_str(), Opts.Tenants,
               static_cast<unsigned long long>(Service.rounds()),
-              Opts.Shards, Opts.Shards == 1 ? "" : "s",
               Opts.Policy == CachePolicy::Prioritized ? "prioritized"
                                                       : "lru",
               Opts.IndexBudget == 0
@@ -1065,22 +1010,6 @@ int commandServe(const Options &OptsIn) {
               static_cast<unsigned long long>(Sweep.ChunksCollected),
               static_cast<unsigned long long>(Sweep.EntriesExpired));
 
-  const DedupEngine *Engine = Service.pipeline().dedupEngine();
-  if (Engine && Engine->index().shardCount() > 1) {
-    const DedupIndex &Index = Engine->index();
-    std::printf("\n%-7s %12s %12s %12s %12s\n", "shard", "bins",
-                "entries", "hits", "memory");
-    for (unsigned S = 0; S < Index.shardCount(); ++S) {
-      const IndexShardStats Stats = Index.shardStats(S);
-      std::printf("%-7u %5llu..%-5llu %12llu %12llu %12s\n", S,
-                  static_cast<unsigned long long>(Stats.BinBegin),
-                  static_cast<unsigned long long>(Stats.BinEnd),
-                  static_cast<unsigned long long>(Stats.TreeEntries),
-                  static_cast<unsigned long long>(
-                      Stats.BufferHits + Stats.TreeHits + Stats.GpuHits),
-                  formatSize(Stats.MemoryBytes).c_str());
-    }
-  }
   std::printf("\n%s\n", Service.pipeline().report().toString().c_str());
   Faults.summary();
   return Obs.write(Opts) ? 0 : 1;
@@ -1111,10 +1040,9 @@ int commandTenant(const Options &OptsIn) {
   }
   Direct.flush();
 
-  // Candidate: one tenant through the service at --shards shards.
+  // Candidate: one tenant through the service.
   ServiceConfig Config;
   Config.Pipeline = pipelineConfigFor(Opts, Mode);
-  Config.Pipeline.Dedup.Index.Shards = Opts.Shards;
   VolumeService Service(Opts.Plat, Config);
   TenantConfig Tenant;
   Tenant.Blocks = Blocks;
@@ -1133,10 +1061,8 @@ int commandTenant(const Options &OptsIn) {
 
   const PipelineReport Ref = DirectPipe.report();
   const PipelineReport Svc = Service.pipeline().report();
-  std::printf("single-tenant parity on %s: %s stream, %u index "
-              "shard%s\n\n",
-              Opts.Plat.Name.c_str(), formatSize(Data.size()).c_str(),
-              Opts.Shards, Opts.Shards == 1 ? "" : "s");
+  std::printf("single-tenant parity on %s: %s stream\n\n",
+              Opts.Plat.Name.c_str(), formatSize(Data.size()).c_str());
   bool Match = Ref.UniqueChunks == Svc.UniqueChunks &&
                Ref.DupChunks == Svc.DupChunks &&
                Ref.DupFromBuffer == Svc.DupFromBuffer &&
