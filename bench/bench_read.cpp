@@ -4,13 +4,12 @@
 /// R1 / E11 — batched restore with decode v2 (extension; the paper's
 /// pipeline is write-only, but a primary system serves reads). Views:
 ///
-///   1. the decode-mode batch-depth sweep — the read-side launch
-///      crossover, now three-way: the v1 lane kernel loses to the
-///      8-thread CPU pool at shallow depths (LaunchUs dominates) and
-///      crosses over near depth ~100, while the v2 warp kernel over
-///      framed sub-blocks amortizes the launch into a persistent-kernel
-///      doorbell and is expected to beat the CPU pool at *every* depth
-///      — killing the crossover. The Auto probe must pick the winner;
+///   1. the decode-mode batch-depth sweep — the CPU pool against the
+///      warp kernel, which decodes the framed store one warp per
+///      sub-block and the unframed store one warp per chunk. Its
+///      persistent-kernel doorbell replaces the per-batch LaunchUs, so
+///      it is expected to beat the CPU pool at *every* depth — no
+///      launch-latency crossover. The Auto probe must pick the winner;
 ///   2. the sub-block ratio sweep — what the framed format costs in
 ///      compression ratio at counts {1,2,4,8};
 ///   3. a fault-plan replay — warp dispatches dying mid-run must evict
@@ -23,7 +22,7 @@
 /// modes, sub-block counts and fault replays; warp-GPU beats the CPU
 /// pool at batch depth <= 16; sub-block ratio loss <= 5% on the
 /// vdbench workload. `--smoke` runs a reduced stream and depth set
-/// with the same gates (the CI crossover check).
+/// with the same gates (the CI decode check).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -99,11 +98,13 @@ ByteVector benchStream(bool Smoke) {
   return VdbenchStream(Load).generateAll();
 }
 
-/// One depth row of the three-way decode sweep.
+/// One depth row of the decode sweep.
 struct DepthRow {
   std::size_t Depth = 0;
   double CpuKiops = 0.0;
-  double LaneKiops = 0.0;
+  /// Warp kernel over the unframed store (one sub-block per chunk).
+  double UnframedKiops = 0.0;
+  /// Warp kernel over the framed store.
   double WarpKiops = 0.0;
   const char *ProbePick = "";
   bool BitIdentical = false;
@@ -128,9 +129,10 @@ bool writeJson(const char *Path, const std::vector<DepthRow> &Depths,
     const DepthRow &R = Depths[I];
     std::fprintf(File,
                  "    {\"depth\": %zu, \"cpu_kiops\": %.2f, "
-                 "\"lane_kiops\": %.2f, \"warp_kiops\": %.2f, "
+                 "\"warp_unframed_kiops\": %.2f, \"warp_kiops\": %.2f, "
                  "\"probe\": \"%s\", \"bit_identical\": %s}%s\n",
-                 R.Depth, R.CpuKiops, R.LaneKiops, R.WarpKiops, R.ProbePick,
+                 R.Depth, R.CpuKiops, R.UnframedKiops, R.WarpKiops,
+                 R.ProbePick,
                  R.BitIdentical ? "true" : "false",
                  I + 1 < Depths.size() ? "," : "");
   }
@@ -157,24 +159,22 @@ bool writeJson(const char *Path, const std::vector<DepthRow> &Depths,
 int main(int Argc, char **Argv) {
   const bool Smoke = Argc > 1 && std::strcmp(Argv[1], "--smoke") == 0;
   banner("R1/E11", Smoke ? "batched restore, decode v2 (smoke: "
-                           "crossover + ratio + fault gates)"
-                         : "batched restore: warp decode crossover, "
+                           "depth + ratio + fault gates)"
+                         : "batched restore: warp decode depth sweep, "
                            "sub-block ratio, cache tier, R/W mix");
 
   const ByteVector Data = benchStream(Smoke);
 
   //===------------------------------------------------------------===//
-  // 1. Three-way decode batch-depth sweep (no cache: decode vs decode).
-  //    CPU and warp read the framed store; the v1 lane kernel reads the
-  //    unframed store (it cannot decode framed payloads — that
-  //    asymmetry is decode v2's point, not an unfairness: each decoder
-  //    gets the format it was designed for, same logical bytes).
+  // 1. Decode batch-depth sweep (no cache: decode vs decode). CPU and
+  //    warp read the framed store; warp also reads the unframed store
+  //    (same logical bytes), where each chunk is one sub-block.
   //===------------------------------------------------------------===//
   std::printf("decode batch-depth sweep (cold reads, no cache, comp 2.0; "
               "decode-limited\nKIOPS = chunks / busiest compute lane — "
               "end-to-end reads are flash-bound):\n");
   std::printf("%8s %12s %12s %12s %10s %8s %6s\n", "depth", "cpu (K)",
-              "lane (K)", "warp (K)", "warp/cpu", "probe", "bits");
+              "unframed (K)", "warp (K)", "warp/cpu", "probe", "bits");
   const auto Unframed = writtenPipeline(0, Data, 1);
   const auto Framed = writtenPipeline(0, Data, 4);
   std::vector<DepthRow> Depths;
@@ -187,34 +187,35 @@ int main(int Argc, char **Argv) {
     Config.BatchDepth = Depth;
     DepthRow Row;
     Row.Depth = Depth;
-    ByteVector CpuBytes, LaneBytes, WarpBytes;
+    ByteVector CpuBytes, UnframedBytes, WarpBytes;
     Config.Mode = DecodeMode::Cpu;
     const ReadReport Cpu = restorePass(*Framed, Config, &CpuBytes);
-    Config.Mode = DecodeMode::Gpu;
-    const ReadReport Lane = restorePass(*Unframed, Config, &LaneBytes);
     Config.Mode = DecodeMode::WarpGpu;
+    const ReadReport UnframedWarp =
+        restorePass(*Unframed, Config, &UnframedBytes);
     const ReadReport Warp = restorePass(*Framed, Config, &WarpBytes);
     Config.Mode = DecodeMode::Auto;
     const ReadPipeline Probe(*Framed, Config);
     Row.CpuKiops =
         static_cast<double>(Cpu.ChunksRequested) / decodeSec(Cpu) / 1e3;
-    Row.LaneKiops =
-        static_cast<double>(Lane.ChunksRequested) / decodeSec(Lane) / 1e3;
+    Row.UnframedKiops = static_cast<double>(UnframedWarp.ChunksRequested) /
+                        decodeSec(UnframedWarp) / 1e3;
     Row.WarpKiops =
         static_cast<double>(Warp.ChunksRequested) / decodeSec(Warp) / 1e3;
     Row.ProbePick = decodeModeName(Probe.effectiveMode());
     Row.BitIdentical =
-        CpuBytes == Data && LaneBytes == Data && WarpBytes == Data;
+        CpuBytes == Data && UnframedBytes == Data && WarpBytes == Data;
     Depths.push_back(Row);
     std::printf("%8zu %12.1f %12.1f %12.1f %10.2f %8s %6s\n", Depth,
-                Row.CpuKiops, Row.LaneKiops, Row.WarpKiops,
+                Row.CpuKiops, Row.UnframedKiops, Row.WarpKiops,
                 Row.WarpKiops / Row.CpuKiops, Row.ProbePick,
                 Row.BitIdentical ? "ok" : "DIFF");
   }
-  std::printf("expected shape: cpu flat; lane climbs with depth (LaunchUs "
-              "amortized), crossing\ncpu near depth ~100; warp above cpu "
-              "at every depth (doorbell, not launch) —\nthe crossover is "
-              "gone and the probe picks warp throughout.\n");
+  std::printf("expected shape: cpu flat; warp above cpu at every depth "
+              "on both stores\n(doorbell, not launch), so the probe picks "
+              "warp throughout. Unframed is at or\nabove framed: one "
+              "sub-block per chunk pays one warp setup, and its payload "
+              "is\nsmaller.\n");
 
   //===------------------------------------------------------------===//
   // 2. Sub-block ratio sweep: what the framed format costs. History
@@ -384,14 +385,14 @@ int main(int Argc, char **Argv) {
   std::printf("bit-identity: all modes, depths, sub-block counts and the "
               "fault replay\n");
 
-  // Gate 2 (E11): the tentpole's headline — warp-GPU decode beats the
-  // CPU pool at batch depth <= 16, where the v1 lane kernel loses. The
-  // crossover is dead.
+  // Gate 2 (E11): the headline — warp-GPU decode of the framed store
+  // beats the CPU pool at batch depth <= 16, where a per-batch kernel
+  // launch would lose. There is no crossover.
   for (const DepthRow &R : Depths) {
     if (R.Depth > 16)
       continue;
-    std::printf("depth %zu: warp %.1fK vs cpu %.1fK (lane %.1fK)\n",
-                R.Depth, R.WarpKiops, R.CpuKiops, R.LaneKiops);
+    std::printf("depth %zu: warp %.1fK vs cpu %.1fK (unframed %.1fK)\n",
+                R.Depth, R.WarpKiops, R.CpuKiops, R.UnframedKiops);
     if (R.WarpKiops <= R.CpuKiops) {
       std::fprintf(stderr,
                    "FAIL: warp decode does not beat the CPU pool at "
@@ -412,7 +413,7 @@ int main(int Argc, char **Argv) {
       return 1;
     }
   }
-  std::printf("PASS: read gates met (crossover killed, ratio tax "
-              "bounded, decode bit-exact)\n");
+  std::printf("PASS: read gates met (warp beats cpu at shallow depth, "
+              "ratio tax bounded, decode bit-exact)\n");
   return 0;
 }

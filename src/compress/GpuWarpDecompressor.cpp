@@ -1,7 +1,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Warp-cooperative LZ decompression: O(N) header planning and the
+/// Warp-cooperative LZ decompression: sub-block planning and the
 /// per-sub-block kernel body.
 ///
 //===----------------------------------------------------------------------===//
@@ -14,21 +14,36 @@
 
 using namespace padre;
 
+bool GpuWarpDecompressor::accepts(BlockMethod Method) {
+  return Method == BlockMethod::Lz77 || Method == BlockMethod::QuickLz ||
+         Method == BlockMethod::GpuLane || Method == BlockMethod::LzFramed;
+}
+
 std::optional<GpuWarpPlan>
-GpuWarpDecompressor::plan(ByteSpan Payload, std::size_t OriginalSize,
+GpuWarpDecompressor::plan(BlockMethod Method, ByteSpan Payload,
+                          std::size_t OriginalSize,
                           std::span<WarpSubBlock> Table) {
-  if (OriginalSize > LzCodec::MaxInputSize)
-    return std::nullopt;
-  const auto Frame =
-      parseSubBlockFrame(Payload, static_cast<std::uint32_t>(OriginalSize));
-  if (!Frame)
-    return std::nullopt;
-  if (Table.size() < Frame->Count)
+  if (!accepts(Method) || OriginalSize > LzCodec::MaxInputSize ||
+      Table.empty())
     return std::nullopt;
 
   GpuWarpPlan Plan;
   Plan.OriginalSize = OriginalSize;
   Plan.PayloadSize = Payload.size();
+  if (Method != BlockMethod::LzFramed) {
+    // Unframed: the whole token stream is one sub-block.
+    Plan.SubBlocks = Table.first(1);
+    Plan.SubBlocks[0] = WarpSubBlock();
+    Plan.SubBlocks[0].Seg.PayloadBytes =
+        static_cast<std::uint32_t>(Payload.size());
+    Plan.SubBlocks[0].Seg.OutputBytes =
+        static_cast<std::uint32_t>(OriginalSize);
+    return Plan;
+  }
+  const auto Frame =
+      parseSubBlockFrame(Payload, static_cast<std::uint32_t>(OriginalSize));
+  if (!Frame || Table.size() < Frame->Count)
+    return std::nullopt;
   Plan.SubBlocks = Table.first(Frame->Count);
   for (unsigned I = 0; I < Frame->Count; ++I) {
     Plan.SubBlocks[I] = WarpSubBlock();
@@ -39,7 +54,7 @@ GpuWarpDecompressor::plan(ByteSpan Payload, std::size_t OriginalSize,
 
 namespace {
 
-/// Token kinds for divergence tracking (mirrors the lane planner).
+/// Token kinds for divergence tracking.
 enum class TokenKind { None, Literal, Match };
 
 } // namespace

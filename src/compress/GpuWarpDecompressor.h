@@ -1,24 +1,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The warp-cooperative decode kernel for v2 framed payloads — decode
-/// v2's second level of parallelism, after the lane-per-chunk
-/// GpuLaneDecompressor.
+/// The warp-cooperative decode kernel — the restore path's only GPU
+/// decoder, for every payload in the shared LZ token format.
 ///
-/// The v1 lane design has two structural costs the CODAG and Gompresso
-/// papers attack (see PAPERS.md): the CPU must pre-parse the *whole*
-/// token stream to find lane boundaries (O(payload) serial work per
-/// chunk), and lanes run in one lockstep wavefront, so every
-/// literal/match branch divergence is paid by all lanes. The framed
-/// format (compress/SubBlockFrame.h) kills the first cost — sub-block
-/// boundaries are in the header, so planning is O(N) — and the
-/// reader-warp design kills most of the second: one warp owns one
-/// sub-block, a reader sub-warp streams tokens while the decoder lanes
-/// expand them in parallel, and warps proceed independently (no
-/// cross-warp lockstep).
+/// The design follows CODAG and Gompresso (see PAPERS.md): one warp
+/// owns one sub-block, a reader sub-warp streams tokens while the
+/// decoder lanes expand them in parallel, and warps proceed
+/// independently (no cross-warp lockstep), so literal/match divergence
+/// stays inside one warp. A v2 framed payload (compress/SubBlockFrame.h)
+/// carries its sub-block boundaries in a small header, so planning is
+/// an O(N) header parse; an unframed payload (Lz77, QuickLz, GpuLane)
+/// is one sub-block covering the whole chunk — CODAG's one chunk per
+/// warp — and needs no parse at all.
 ///
-/// `plan` is the O(N) header parse; `runWarps` is the functional kernel
-/// body. runWarps fills each sub-block's token/divergence/overlap
+/// `plan` builds the sub-block table; `runWarps` is the functional
+/// kernel body. runWarps fills each sub-block's token/divergence/overlap
 /// counts as it decodes — the charge inputs are known only after the
 /// functional pass, the same idiom as the write-side kernels — and the
 /// restore engine then charges sum over sub-blocks of
@@ -27,7 +24,8 @@
 /// History reset at sub-block boundaries makes every back-reference
 /// intra-sub-block by construction; runWarps enforces that (a distance
 /// reaching before the sub-block's own output is a malformed payload,
-/// never a data dependency). Self-overlapping matches
+/// never a data dependency). For a one-sub-block plan that is exactly
+/// LzCodec::decompress's distance check. Self-overlapping matches
 /// (distance < length) are counted per sub-block: Gompresso resolves
 /// them with bit-parallel log-step replication, modelled by
 /// GpuCosts::WarpOverlapPerMatchNs.
@@ -37,6 +35,7 @@
 #ifndef PADRE_COMPRESS_GPUWARPDECOMPRESSOR_H
 #define PADRE_COMPRESS_GPUWARPDECOMPRESSOR_H
 
+#include "compress/Block.h"
 #include "compress/LzCodec.h"
 #include "compress/SubBlockFrame.h"
 
@@ -45,9 +44,10 @@
 
 namespace padre {
 
-/// One warp's share of a framed chunk decode: the sub-block's extents
-/// (from the frame header) plus the functional counts runWarps fills —
-/// the inputs to CostModel::gpuWarpSubBlockUs.
+/// One warp's share of a chunk decode: the sub-block's extents (from
+/// the frame header, or the whole chunk when unframed) plus the
+/// functional counts runWarps fills — the inputs to
+/// CostModel::gpuWarpSubBlockUs.
 struct WarpSubBlock {
   SubBlockSeg Seg;
   /// Tokens the reader sub-warp streams (literal runs + matches).
@@ -57,12 +57,11 @@ struct WarpSubBlock {
   /// Self-overlapping matches (distance < length): Gompresso's
   /// bit-parallel replication case.
   std::uint32_t OverlapMatches = 0;
-  /// Byte mix of the sub-block, for reporting parity with the lane
-  /// decoder.
+  /// Byte mix of the sub-block.
   CompressStats Stats;
 };
 
-/// The O(N) plan for one framed chunk. SubBlocks views caller-owned
+/// The O(N) plan for one chunk. SubBlocks views caller-owned
 /// storage (the restore engine hands in arena-backed tables).
 struct GpuWarpPlan {
   std::span<WarpSubBlock> SubBlocks;
@@ -70,18 +69,25 @@ struct GpuWarpPlan {
   std::size_t PayloadSize = 0;
 };
 
-/// Warp-cooperative decompressor for BlockMethod::LzFramed payloads
-/// (header planning + kernel body). Stateless; safe to share between
-/// threads.
+/// Warp-cooperative decompressor for LZ token payloads (planning +
+/// kernel body). Stateless; safe to share between threads.
 class GpuWarpDecompressor {
 public:
-  /// The CPU pre-parse: validates the frame header of \p Payload
-  /// against \p OriginalSize and fills \p Table (capacity >=
-  /// MaxSubBlocks) with the sub-block extents — no token walk, which
-  /// is the point (CostModel::FramePlanUs vs PlanSetupUs +
-  /// PlanPerByteNs x payload). Returns nullopt on any malformed
-  /// header; token-stream damage is caught by runWarps.
-  static std::optional<GpuWarpPlan> plan(ByteSpan Payload,
+  /// True for the methods whose payload is the shared LZ token stream,
+  /// framed or not: Lz77, QuickLz, GpuLane and LzFramed. Raw is a copy
+  /// and LzHuff needs the serial entropy stage first.
+  static bool accepts(BlockMethod Method);
+
+  /// The CPU pre-parse, charged CostModel::FramePlanUs per chunk: fills
+  /// \p Table with the sub-block extents of \p Payload — no token walk
+  /// either way. LzFramed validates the frame header against
+  /// \p OriginalSize (Table capacity must cover its count); Lz77,
+  /// QuickLz and GpuLane get one sub-block spanning the whole payload
+  /// and output. Returns nullopt for a method the kernel does not
+  /// accept, an oversized chunk or a malformed header;
+  /// token-stream damage is caught by runWarps.
+  static std::optional<GpuWarpPlan> plan(BlockMethod Method,
+                                         ByteSpan Payload,
                                          std::size_t OriginalSize,
                                          std::span<WarpSubBlock> Table);
 

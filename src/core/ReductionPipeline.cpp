@@ -155,30 +155,6 @@ fault::Status ReductionPipeline::write(ByteSpan Stream,
 }
 
 fault::Status
-ReductionPipeline::writeV(std::span<const ByteSpan> Streams,
-                          std::vector<ChunkWriteInfo> *InfoOut) {
-  std::vector<ChunkView> Chunks;
-  std::uint64_t Offset = LogicalBytes;
-  for (const ByteSpan Stream : Streams) {
-    StreamChunker->split(Stream, Offset, Chunks);
-    Offset += Stream.size();
-  }
-  fault::Status First;
-  for (std::size_t Begin = 0; Begin < Chunks.size();
-       Begin += Config.BatchChunks) {
-    const std::size_t End =
-        std::min(Chunks.size(), Begin + Config.BatchChunks);
-    const fault::Status St =
-        processBatch(std::span<const ChunkView>(Chunks.data() + Begin,
-                                                End - Begin),
-                     InfoOut, /*Raw=*/false);
-    if (!St.ok() && First.ok())
-      First = St;
-  }
-  return First;
-}
-
-fault::Status
 ReductionPipeline::writeRaw(ByteSpan Stream,
                             std::vector<ChunkWriteInfo> *InfoOut) {
   std::vector<ChunkView> Chunks;

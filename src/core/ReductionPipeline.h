@@ -154,16 +154,6 @@ public:
   fault::Status write(ByteSpan Stream,
                       std::vector<ChunkWriteInfo> *InfoOut = nullptr);
 
-  /// Ingests several streams as one write: chunking is concatenated,
-  /// so pipeline batches span stream boundaries. Callers dispatching
-  /// many small runs (the volume service's fair-share rounds) fill the
-  /// scheduler's overlap window instead of under-filling one batch per
-  /// run. Chunk order — and so locations, outcomes and recipes —
-  /// matches writing the streams back-to-back; only the batch grouping
-  /// changes.
-  fault::Status writeV(std::span<const ByteSpan> Streams,
-                       std::vector<ChunkWriteInfo> *InfoOut = nullptr);
-
   /// Ingests a write stream bypassing both reduction operations: every
   /// chunk is stored raw at a fresh location (the §1 "store first,
   /// reduce in the background when idle" baseline; see

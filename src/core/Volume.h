@@ -84,14 +84,6 @@ public:
   /// background-reduction baseline; see core/BackgroundReducer.h).
   bool writeBlocksRaw(std::uint64_t Lba, ByteSpan Data);
 
-  /// The mapping-apply tail of writeBlocks for externally pipelined
-  /// data: callers that ingest several volumes' runs through one
-  /// combined pipeline write (ReductionPipeline::writeV) partition the
-  /// per-chunk outcomes back to each volume here. One Info per block,
-  /// in LBA order; the range must be valid.
-  void applyChunkWrites(std::uint64_t Lba,
-                        std::span<const ChunkWriteInfo> Infos);
-
   /// Reads \p Count blocks at \p Lba. Unmapped blocks read as zeros.
   /// Returns nullopt on out-of-range or store corruption.
   std::optional<ByteVector> readBlocks(std::uint64_t Lba,
@@ -236,6 +228,10 @@ public:
 private:
   bool writeBlocksImpl(std::uint64_t Lba, ByteSpan Data, bool Raw,
                        std::vector<ChunkWriteInfo> *InfoOut);
+  /// The mapping-apply tail of writeBlocks: one Info per block, in LBA
+  /// order; the range must be valid.
+  void applyChunkWrites(std::uint64_t Lba,
+                        std::span<const ChunkWriteInfo> Infos);
 
   ReductionPipeline &Pipeline;
   VolumeConfig Config;

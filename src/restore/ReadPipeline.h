@@ -12,26 +12,20 @@
 ///      (destage wrote them adjacently, so recipe-local reads are
 ///      sequential on flash) and issues the rest as random 4K reads,
 ///   4. decompresses the fetched payloads either chunk-parallel on the
-///      CPU pool or on the GPU lane-decompression kernel — compressed
-///      payloads staged over the modelled PCIe link, the kernel charged
-///      under the same SIMT-lockstep slowest-lane rule as the write
-///      side, with a CPU pre-parse planning the lane splits
-///      (compress/GpuLaneDecompressor.h),
+///      CPU pool or on the GPU warp-cooperative kernel
+///      (compress/GpuWarpDecompressor.h) — compressed payloads staged
+///      over the modelled PCIe link, one warp per sub-block (a v2
+///      framed chunk's header sub-blocks, or the whole chunk when
+///      unframed), and a persistent kernel whose steady-state batches
+///      pay a doorbell instead of LaunchUs,
 ///   5. optionally extends coalesced runs with *readahead*: the next
 ///      store-resident locations decode into the cache on the same
 ///      fetch, so recipe-local streams hit DRAM on their next batch.
 ///
-/// GPU decode pays the same launch-latency economics as GPU
-/// compression: a deep batch amortizes LaunchUs and wins, a shallow
-/// one does not and loses to the 8-thread CPU pool. Decode v2 attacks
-/// exactly that crossover: v2-framed chunks (BlockMethod::LzFramed)
-/// can go to the *warp-cooperative* kernel instead
-/// (compress/GpuWarpDecompressor.h) — O(sub-blocks) planning, per-warp
-/// divergence instead of per-wavefront, and a persistent kernel whose
-/// steady-state batches pay only a doorbell instead of LaunchUs.
-/// DecodeMode::Auto resolves the three-way crossover with a
-/// calibrator-style probe (synthetic chunks, modelled costs only —
-/// nothing is charged to the ledger); the probe's makespans are
+/// Raw copies and LzHuff's serial entropy stage always run on the CPU
+/// pool. DecodeMode::Auto picks between the pool and the warp kernel
+/// with a calibrator-style probe (synthetic chunks, modelled costs
+/// only — nothing is charged to the ledger); the probe's makespans are
 /// published as padre_read_probe_us{mode=}.
 ///
 /// Everything is observable: "restore:fetch"/"restore:decode" stage
@@ -45,7 +39,6 @@
 #define PADRE_RESTORE_READPIPELINE_H
 
 #include "compress/Block.h"
-#include "compress/GpuLaneDecompressor.h"
 #include "compress/GpuWarpDecompressor.h"
 #include "core/ReductionPipeline.h"
 #include "restore/ReadReport.h"
@@ -71,7 +64,7 @@ struct ReadFailure {
 struct ReadConfig {
   /// Chunk fetches gathered per batch (the read-side analogue of
   /// PipelineConfig::BatchChunks). Deep batches amortize the GPU
-  /// launch and coalesce better; shallow ones bound latency.
+  /// dispatch and coalesce better; shallow ones bound latency.
   std::size_t BatchDepth = 256;
   DecodeMode Mode = DecodeMode::Auto;
   /// Store-resident successor chunks decoded into the cache per
@@ -113,7 +106,7 @@ public:
   std::optional<ByteVector> readStream(const StreamRecipe &Recipe);
 
   /// The mode batches actually run in: never Auto — the probe resolved
-  /// it at construction (and Gpu degrades to Cpu on GPU-less
+  /// it at construction (and WarpGpu degrades to Cpu on GPU-less
   /// platforms).
   DecodeMode effectiveMode() const { return Mode; }
 
@@ -141,9 +134,8 @@ private:
     BlockMethod Method = BlockMethod::Raw;
     std::uint32_t OriginalSize = 0;
     ByteSpan Payload;
-    std::optional<GpuDecodePlan> Plan;     ///< lane-GPU path only
-    std::optional<GpuWarpPlan> WarpPlan;   ///< warp-GPU path only
-                                           ///< (arena-backed table)
+    /// Warp-GPU path only (arena-backed sub-block table).
+    std::optional<GpuWarpPlan> WarpPlan;
     ByteVector Decoded;
     double FetchShareUs = 0.0; ///< this chunk's share of SSD latency
     double DecodeUs = 0.0;     ///< decode stage latency contribution
@@ -157,7 +149,6 @@ private:
   /// growth on the probe chunk, and the mode the probe would pick.
   struct ProbeResult {
     double CpuUs = 0.0;
-    double GpuUs = 0.0;
     double WarpUs = 0.0;
     double RatioDeltaPct = 0.0;
     DecodeMode Mode = DecodeMode::Cpu;
@@ -166,30 +157,21 @@ private:
   bool processBatch(std::span<const std::uint64_t> Locations,
                     std::vector<ByteVector> &Out,
                     std::vector<ReadFailure> *Failures);
-  /// Per-batch arbitration for batches mixing framed and unframed
-  /// chunks (WarpGpu mode): prices THIS batch's unframed remainder on
-  /// the lane-kernel path vs the CPU pool — launch amortized over the
-  /// remainder's real count, transfers over its real bytes — and
-  /// returns true when the lane wins. Homogeneous batches never get
-  /// here; they keep the run-level probe decision.
-  bool unframedLaneWins(const std::vector<BatchItem *> &Unframed) const;
   void decodeCpu(const std::vector<BatchItem *> &Items);
-  void decodeGpu(const std::vector<BatchItem *> &Items);
   void decodeWarp(const std::vector<BatchItem *> &Items);
-  /// Closes device sub-batch Items[Begin, End) of decodeGpu/decodeWarp.
-  /// On a device fault (\p DeviceOk) the \p Planned chunks re-decode on
-  /// the CPU pool; otherwise each waits for the whole round trip: PCIe
-  /// in, \p KernelUs (launch or doorbell plus execution) under the
+  /// Closes warp sub-batch Items[Begin, End). On a device fault
+  /// (\p DeviceOk) the planned chunks re-decode on the CPU pool;
+  /// otherwise each waits for the whole round trip: PCIe in,
+  /// \p KernelUs (launch or doorbell plus execution) under the
   /// mixed-mode penalty, PCIe out.
   void closeDeviceSubBatch(const std::vector<BatchItem *> &Items,
                            std::size_t Begin, std::size_t End,
-                           bool (*Planned)(const BatchItem &),
                            const fault::Status &DeviceOk, double KernelUs,
                            std::size_t InBytes, std::size_t OutBytes);
   void noteFailure(std::uint64_t Location);
   /// The Auto probe: modelled decode makespans of a synthetic batch at
-  /// BatchDepth for every available path (CPU pool, lane kernel, warp
-  /// kernel over the framed probe); charges nothing.
+  /// BatchDepth on the CPU pool and on the warp kernel over the framed
+  /// probe; charges nothing.
   ProbeResult probeMode() const;
 
   ReductionPipeline &Pipe;
@@ -198,14 +180,8 @@ private:
   /// The pipeline's device, or OwnedDevice on CPU-only write modes.
   std::unique_ptr<GpuDevice> OwnedDevice;
   GpuDevice *Device = nullptr;
-  GpuLaneDecompressor Decoder;
   DecodeMode Mode = DecodeMode::Cpu;
   ProbeResult Probe;
-  /// In WarpGpu mode, do unframed LZ chunks still go to the lane
-  /// kernel? True when the probe priced the lane path under the CPU
-  /// pool (or the user forced Gpu) — the warp kernel itself only
-  /// accepts framed payloads.
-  bool UnframedToLane = false;
   /// Persistent warp kernel residency: the first warp sub-batch pays
   /// the full launch, later ones only the doorbell; any device fault
   /// evicts the kernel (see GpuDevice::dispatchResident).
@@ -225,12 +201,9 @@ private:
   std::uint64_t RandomReads = 0;
   std::uint64_t ReadaheadChunks = 0;
   std::uint64_t DecodeFailures = 0;
-  std::uint64_t GpuBatches = 0;
   std::uint64_t CpuBatches = 0;
   std::uint64_t WarpBatches = 0;
   std::uint64_t FramedChunks = 0;
-  std::uint64_t MixedBatches = 0;
-  std::uint64_t MixedToLane = 0;
   /// GPU decode sub-batches re-decoded on the CPU after a device fault.
   std::uint64_t GpuDecodeFallbacks = 0;
   /// Ledger busy-time baselines (µs) captured at resetMeasurement.
@@ -247,14 +220,10 @@ private:
   obs::Counter *ReadaheadTotal = nullptr;
   obs::Counter *DecodeFailTotal = nullptr;
   obs::Counter *CpuBatchesTotal = nullptr;
-  obs::Counter *GpuBatchesTotal = nullptr;
   obs::Counter *WarpBatchesTotal = nullptr;
-  obs::Counter *MixedLaneTotal = nullptr;
-  obs::Counter *MixedCpuTotal = nullptr;
   obs::Counter *GpuFallbackTotal = nullptr;
   obs::Gauge *DecodeModeGauge = nullptr;
   obs::Gauge *ProbeCpuGauge = nullptr;
-  obs::Gauge *ProbeGpuGauge = nullptr;
   obs::Gauge *ProbeWarpGauge = nullptr;
 };
 

@@ -109,23 +109,14 @@ void VolumeService::noteInlineRun(TenantState &T,
     LocalityHist->observe(T.Locality);
 }
 
-bool VolumeService::decideInline(TenantState &T) {
-  const bool Probe =
-      !T.Resident && Config.ProbePeriodRounds != 0 &&
-      Round - T.LastInlineRound >= Config.ProbePeriodRounds;
-  const bool Inline = T.Resident || Probe;
-  // Marked at decision time (not after the write) so a probing
-  // tenant's later picks this round see the probe spent — the decision
-  // sequence matches per-run dispatch exactly.
-  if (Inline)
-    T.LastInlineRound = Round;
-  return Inline;
-}
-
 void VolumeService::dispatchOne(TenantState &T, PendingWrite &W) {
   ++DispatchSeq;
   const ByteSpan Data(W.Data.data(), W.Data.size());
-  if (decideInline(T)) {
+  const bool Probe =
+      !T.Resident && Config.ProbePeriodRounds != 0 &&
+      Round - T.LastInlineRound >= Config.ProbePeriodRounds;
+  if (T.Resident || Probe) {
+    T.LastInlineRound = Round;
     const obs::StageSpan Span(Pipeline.config().Trace, Pipeline.ledger(),
                               "svc:dispatch", obs::CategorySvc);
     std::vector<ChunkWriteInfo> Info;
@@ -152,7 +143,6 @@ bool VolumeService::pump() {
   ++Round;
   bool Any = false;
   const std::uint64_t BlockSize = Pipeline.config().ChunkSize;
-  std::vector<Pick> Picks;
   for (TenantState &T : Tenants) {
     if (T.Queue.empty()) {
       T.CreditBytes = 0; // no banking while idle (classic DRR)
@@ -166,78 +156,13 @@ bool VolumeService::pump() {
       T.Queue.pop_front();
       T.QueuedBytes -= W.Data.size();
       T.CreditBytes -= W.Data.size();
-      if (Config.CoalesceDispatch) {
-        Pick P;
-        P.T = &T;
-        P.W = std::move(W);
-        P.Inline = decideInline(T);
-        Picks.push_back(std::move(P));
-      } else {
-        dispatchOne(T, W);
-      }
+      dispatchOne(T, W);
       Any = true;
     }
   }
-  if (!Picks.empty())
-    dispatchCoalesced(Picks);
   if (Any)
     rescoreResidency();
   return Any;
-}
-
-void VolumeService::dispatchCoalesced(std::vector<Pick> &Picks) {
-  const std::size_t BlockSize = Pipeline.config().ChunkSize;
-  std::size_t I = 0;
-  while (I < Picks.size()) {
-    if (!Picks[I].Inline) {
-      TenantState &T = *Picks[I].T;
-      ++DispatchSeq;
-      const obs::StageSpan Span(Pipeline.config().Trace, Pipeline.ledger(),
-                                "svc:defer", obs::CategorySvc);
-      const ByteSpan Data(Picks[I].W.Data.data(), Picks[I].W.Data.size());
-      if (T.Vol->writeBlocksRaw(Picks[I].W.Lba, Data)) {
-        T.DeferredBytes += Picks[I].W.Data.size();
-        if (T.DeferredCtr)
-          T.DeferredCtr->add(Picks[I].W.Data.size());
-        T.NeedsSweep = true;
-      }
-      T.LastDispatchSeq = DispatchSeq;
-      ++I;
-      continue;
-    }
-    // A maximal run of consecutive inline picks becomes one combined
-    // ingest: batches span runs, so the overlap window stays full.
-    std::size_t End = I;
-    std::vector<ByteSpan> Streams;
-    while (End < Picks.size() && Picks[End].Inline) {
-      Streams.emplace_back(Picks[End].W.Data.data(),
-                           Picks[End].W.Data.size());
-      ++End;
-    }
-    std::vector<ChunkWriteInfo> Infos;
-    {
-      const obs::StageSpan Span(Pipeline.config().Trace, Pipeline.ledger(),
-                                "svc:dispatch", obs::CategorySvc);
-      Pipeline.writeV(Streams, &Infos);
-    }
-    // Partition the per-chunk outcomes back to each pick's volume.
-    std::size_t Consumed = 0;
-    for (; I < End; ++I) {
-      TenantState &T = *Picks[I].T;
-      ++DispatchSeq;
-      const std::size_t Blocks = Picks[I].W.Data.size() / BlockSize;
-      const std::span<const ChunkWriteInfo> Slice(Infos.data() + Consumed,
-                                                  Blocks);
-      Consumed += Blocks;
-      T.Vol->applyChunkWrites(Picks[I].W.Lba, Slice);
-      T.AdmittedBytes += Picks[I].W.Data.size();
-      if (T.AdmittedCtr)
-        T.AdmittedCtr->add(Picks[I].W.Data.size());
-      noteInlineRun(T, Slice);
-      T.LastDispatchSeq = DispatchSeq;
-    }
-    assert(Consumed == Infos.size() && "Pipeline chunking disagrees");
-  }
 }
 
 void VolumeService::drain() {

@@ -81,15 +81,6 @@ struct ServiceConfig {
   std::uint64_t ProbePeriodRounds = 8;
   /// Run length of the deferred-dedup background sweeps.
   std::uint64_t SweepRunBlocks = 64;
-  /// Coalesced dispatch: each fair-share round's inline runs are
-  /// ingested as ONE combined pipeline write
-  /// (ReductionPipeline::writeV), so batches span runs and fill the
-  /// batch scheduler's overlap window instead of under-filling one
-  /// batch per run. Chunk order is preserved — locations, recipes and
-  /// read-back stay bit-identical to per-run dispatch; only the batch
-  /// grouping (and so the modelled overlap) changes. Off by default:
-  /// per-run dispatch remains the bit-identical pass-through baseline.
-  bool CoalesceDispatch = false;
 };
 
 /// Point-in-time view of one tenant.
@@ -202,23 +193,8 @@ private:
     obs::Counter *RejectedCtr = nullptr;
   };
 
-  /// One write picked by the fair-share round, awaiting dispatch.
-  struct Pick {
-    TenantState *T = nullptr;
-    PendingWrite W;
-    bool Inline = false; ///< inline reduction vs raw (deferred)
-  };
-
   /// Dispatches one queued write: inline (resident or probing) or raw.
   void dispatchOne(TenantState &T, PendingWrite &W);
-
-  /// Whether the write dispatches inline (resident or probing); marks
-  /// a probing tenant's round so later picks this round see it.
-  bool decideInline(TenantState &T);
-
-  /// Coalesced dispatch of one round's picks: maximal runs of
-  /// consecutive inline picks become one combined pipeline ingest.
-  void dispatchCoalesced(std::vector<Pick> &Picks);
 
   /// Records an inline run's outcomes into the tenant's locality score
   /// and tracked-fingerprint set.

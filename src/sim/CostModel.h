@@ -74,18 +74,12 @@ struct CpuCosts {
   /// engine models it explicitly so shallow batches pay the true fixed
   /// costs. (See src/restore/ReadPipeline.h.)
   double DecompressSetupUs = 6.0;
-  /// GPU-decode pre-parse on the CPU: one serial walk of the token
-  /// stream to split it into lane segments (token boundaries + output
-  /// offsets). Mirrors PostSetupUs/PostPerByteNs on the write side —
-  /// decompression's CPU stage runs *before* the kernel instead of
-  /// after it. Charged per payload byte scanned.
-  double PlanSetupUs = 2.0;
-  double PlanPerByteNs = 1.2;
-  /// Warp-decode pre-parse on the CPU: reading a v2 frame header (see
-  /// compress/SubBlockFrame.h) to build the sub-block table. O(N) in
-  /// the sub-block count instead of O(payload) — the compress-time
-  /// framing is what buys this down from PlanSetupUs + PlanPerByteNs x
-  /// payload. Charged once per framed chunk.
+  /// Warp-decode pre-parse on the CPU: building a chunk's sub-block
+  /// table, either from a v2 frame header (see compress/SubBlockFrame.h;
+  /// O(N) in the sub-block count) or as one whole-chunk sub-block for
+  /// an unframed payload. Neither walks the token stream. Mirrors
+  /// PostSetupUs on the write side — decompression's CPU stage runs
+  /// *before* the kernel instead of after it. Charged once per chunk.
   double FramePlanUs = 0.4;
   /// Optional Huffman entropy stage (extension): per token byte
   /// encoded or decoded (two passes + bit packing).
@@ -131,34 +125,18 @@ struct GpuCosts {
   /// Chunks per compression kernel. Compression tolerates deeper
   /// batching because unique chunks are already buffered for destage.
   unsigned CompressBatchChunks = 256;
-  /// Lane-parallel LZ *decompression* (read path), charged per
-  /// wavefront under the same lockstep rule as compression:
-  ///   lanes x max over lanes (DecLaneSetupNs
-  ///                           + literals x DecLiteral
-  ///                           + match bytes x DecMatch
-  ///                           + token-kind switches x DecDivergence)
-  /// Decoding has no match search, so the per-byte rates are far below
-  /// the compression rates; what it does have is *control-flow
-  /// divergence* — every literal/match token boundary is a branch, and
-  /// lanes whose token mixes differ replay each other's paths (CODAG's
-  /// characterization; see PAPERS.md). DecDivergencePerTokenNs prices
-  /// one token-kind transition inside a lane.
-  double DecLaneSetupNs = 60.0;
-  double DecLiteralPerByteNs = 0.20;
-  double DecMatchPerByteNs = 0.14;
-  double DecDivergencePerTokenNs = 2.0;
   /// Chunks per decompression kernel. Reads tolerate deep batching the
   /// same way destage does — the restore engine gathers fetches before
-  /// decoding — but shallow read bursts leave the launch latency
-  /// unamortized (the CPU/GPU crossover bench_read sweeps).
+  /// decoding — and the persistent warp kernel keeps shallow batches
+  /// cheap (see WarpDoorbellUs).
   unsigned DecompressBatchChunks = 256;
-  /// Warp-cooperative LZ decompression of v2 framed payloads (CODAG's
-  /// reader-warp design; see compress/GpuWarpDecompressor.h). One warp
-  /// owns one sub-block: a reader sub-warp streams tokens while the
-  /// decoder lanes expand them, so divergence is paid per *token* on
-  /// the narrow reader path rather than per lockstep wavefront — that
-  /// is why WarpDivergencePerTokenNs is far below
-  /// DecDivergencePerTokenNs. Warps are independent (no cross-warp
+  /// Warp-cooperative LZ decompression (CODAG's reader-warp design; see
+  /// compress/GpuWarpDecompressor.h). One warp owns one sub-block — a
+  /// v2 frame's header sub-block, or a whole unframed chunk: a reader
+  /// sub-warp streams tokens while the decoder lanes expand them, so
+  /// control-flow divergence (every literal/match token boundary is a
+  /// branch) is paid per *token* on the narrow reader path rather than
+  /// per lockstep wavefront. Warps are independent (no cross-warp
   /// lockstep), so a chunk's kernel cost is the *sum* of its
   /// sub-block costs:
   ///   sum over sub-blocks (WarpSubBlockSetupNs + WarpSyncNs
@@ -179,9 +157,9 @@ struct GpuCosts {
   /// Work-queue doorbell for the *persistent* warp-decode kernel: the
   /// first warp batch pays LaunchUs to start the kernel; while it stays
   /// resident, subsequent batches only ring the doorbell (one mapped
-  /// write + device-side dequeue). This is what moves the read
-  /// crossover below batch depth 16 — LaunchUs per batch alone would
-  /// keep the GPU losing until depth ~25.
+  /// write + device-side dequeue). This is what keeps the warp kernel
+  /// ahead of the CPU pool at batch depth 16 and below — LaunchUs per
+  /// batch alone would keep the GPU losing until depth ~25.
   double WarpDoorbellUs = 4.0;
   /// Device memory budget for the GPU bin table, in MiB. Bounds which
   /// fraction of the index is GPU-resident (random replacement).
@@ -256,28 +234,13 @@ struct CostModel {
                    Gpu.LzMatchPerByteNs * static_cast<double>(MatchBytes));
   }
 
-  /// One GPU lane's LZ *decode* cost in microseconds, from the token
-  /// mix it decodes: \p LiteralBytes copied from the stream,
-  /// \p MatchBytes copied from history, \p TokenSwitches transitions
-  /// between literal and match tokens (the divergence driver). A
-  /// chunk's kernel cost is `lanes x max(lane costs)` — the same
-  /// lockstep rule as gpuLaneUs.
-  double gpuDecodeLaneUs(std::size_t LiteralBytes, std::size_t MatchBytes,
-                         std::size_t TokenSwitches) const {
-    return 1e-3 *
-           (Gpu.DecLaneSetupNs +
-            Gpu.DecLiteralPerByteNs * static_cast<double>(LiteralBytes) +
-            Gpu.DecMatchPerByteNs * static_cast<double>(MatchBytes) +
-            Gpu.DecDivergencePerTokenNs * static_cast<double>(TokenSwitches));
-  }
-
   /// One sub-block's cost under the warp-cooperative decode kernel, in
   /// microseconds: \p Tokens streamed by the reader sub-warp,
   /// \p OutputBytes expanded by the decoder lanes, \p TokenSwitches
   /// literal/match transitions, \p OverlapMatches self-overlapping
   /// matches (distance < length). A chunk's kernel cost is the sum
-  /// over its sub-blocks — warps are independent, unlike the lockstep
-  /// lanes of gpuDecodeLaneUs (see GpuCosts::WarpSubBlockSetupNs).
+  /// over its sub-blocks — warps are independent (see
+  /// GpuCosts::WarpSubBlockSetupNs).
   double gpuWarpSubBlockUs(std::size_t Tokens, std::size_t OutputBytes,
                            std::size_t TokenSwitches,
                            std::size_t OverlapMatches) const {

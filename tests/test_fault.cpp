@@ -416,6 +416,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(FaultRestoreTest, GpuDecodeFaultFallsBackToCpuBitExact) {
+  // An unframed store on the warp kernel, one sub-block per chunk.
   const ByteVector Data = makeStream(2 << 20, 1.0); // all unique
   fault::FaultPlan Plan;
   auto Rule =
@@ -431,9 +432,9 @@ TEST(FaultRestoreTest, GpuDecodeFaultFallsBackToCpuBitExact) {
   ASSERT_TRUE(Pipeline.finish().ok());
 
   restore::ReadConfig ReadConfig;
-  ReadConfig.Mode = restore::DecodeMode::Gpu;
+  ReadConfig.Mode = restore::DecodeMode::WarpGpu;
   restore::ReadPipeline Reader(Pipeline, ReadConfig);
-  ASSERT_EQ(Reader.effectiveMode(), restore::DecodeMode::Gpu);
+  ASSERT_EQ(Reader.effectiveMode(), restore::DecodeMode::WarpGpu);
   const auto Restored = Reader.readStream(Pipeline.recipe());
   ASSERT_TRUE(Restored.has_value());
   EXPECT_EQ(*Restored, Data); // every chunk delivered despite the faults

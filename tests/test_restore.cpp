@@ -1,10 +1,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for the batched restore pipeline (src/restore): CPU and GPU
-/// decode round trips, batch dedup and SSD coalescing, the cache front
-/// tier and recipe-locality readahead, decode-failure accounting, the
-/// Auto probe's launch-latency crossover, the span/report
+/// Tests for the batched restore pipeline (src/restore): CPU and warp
+/// GPU decode round trips over framed, unframed and mixed stores, batch
+/// dedup and SSD coalescing, the cache front tier and recipe-locality
+/// readahead, decode-failure accounting, the Auto probe, the span/report
 /// reconciliation contract, and volume-level reads interleaved with
 /// TRIM / GC / snapshots / scrub.
 ///
@@ -86,23 +86,24 @@ TEST_F(RestoreFixture, CpuDecodeRoundTrips) {
   EXPECT_EQ(Report.ChunksRequested, Data.size() / BlockSize);
   EXPECT_EQ(Report.BytesOut, Data.size());
   EXPECT_GT(Report.CpuBatches, 0u);
-  EXPECT_EQ(Report.GpuBatches, 0u);
+  EXPECT_EQ(Report.WarpBatches, 0u);
   EXPECT_EQ(Report.DecodeFailures, 0u);
 }
 
 TEST_F(RestoreFixture, GpuDecodeRoundTripsWithSameBytes) {
+  // An unframed store on the warp kernel: each chunk is one sub-block.
   write(4 << 20);
   ReadConfig Config;
-  Config.Mode = DecodeMode::Gpu;
+  Config.Mode = DecodeMode::WarpGpu;
   ReadPipeline Reader(*Pipeline, Config);
   // CPU-only write mode on a GPU platform: the reader brings up its
   // own device rather than degrading to CPU decode.
-  EXPECT_EQ(Reader.effectiveMode(), DecodeMode::Gpu);
+  EXPECT_EQ(Reader.effectiveMode(), DecodeMode::WarpGpu);
   const auto Restored = Reader.readStream(Pipeline->recipe());
   ASSERT_TRUE(Restored.has_value());
   EXPECT_EQ(*Restored, Data);
   const ReadReport Report = Reader.report();
-  EXPECT_GT(Report.GpuBatches, 0u);
+  EXPECT_GT(Report.WarpBatches, 0u);
   EXPECT_GT(Report.GpuBusySec, 0.0);
   EXPECT_GT(Report.PcieBusySec, 0.0);
 }
@@ -110,7 +111,7 @@ TEST_F(RestoreFixture, GpuDecodeRoundTripsWithSameBytes) {
 TEST_F(RestoreFixture, GpuModeDegradesToCpuWithoutDevice) {
   write(1 << 20, 0, 2.0, 2.0, Platform::noGpu());
   ReadConfig Config;
-  Config.Mode = DecodeMode::Gpu;
+  Config.Mode = DecodeMode::WarpGpu;
   ReadPipeline Reader(*Pipeline, Config);
   EXPECT_EQ(Reader.effectiveMode(), DecodeMode::Cpu);
   const auto Restored = Reader.readStream(Pipeline->recipe());
@@ -233,19 +234,15 @@ TEST_F(RestoreFixture, CorruptChunkFailsAndCounts) {
 
 TEST_F(RestoreFixture, ProbeWarpKillsTheLaneCrossover) {
   write(1 << 20);
-  // The lane kernel's launch-latency crossover is still visible in the
-  // probe's per-path makespans: at depth 8 LaunchUs dominates and the
-  // lane path loses to the CPU pool; at depth 256 it wins. But the
-  // warp path (persistent kernel, doorbell dispatch) undercuts the CPU
-  // pool at BOTH depths, so Auto resolves to WarpGpu everywhere — the
-  // decode-v2 headline.
+  // The warp path (persistent kernel, doorbell dispatch) undercuts the
+  // CPU pool at a shallow and a deep batch alike — no launch-latency
+  // crossover — so Auto resolves to WarpGpu everywhere.
   ReadConfig Shallow;
   Shallow.Mode = DecodeMode::Auto;
   Shallow.BatchDepth = 8;
   ReadPipeline ShallowReader(*Pipeline, Shallow);
   EXPECT_EQ(ShallowReader.effectiveMode(), DecodeMode::WarpGpu);
   const ReadReport ShallowReport = ShallowReader.report();
-  EXPECT_GT(ShallowReport.ProbeGpuUs, ShallowReport.ProbeCpuUs);
   EXPECT_LT(ShallowReport.ProbeWarpUs, ShallowReport.ProbeCpuUs);
 
   ReadConfig Deep = Shallow;
@@ -253,8 +250,7 @@ TEST_F(RestoreFixture, ProbeWarpKillsTheLaneCrossover) {
   ReadPipeline DeepReader(*Pipeline, Deep);
   EXPECT_EQ(DeepReader.effectiveMode(), DecodeMode::WarpGpu);
   const ReadReport DeepReport = DeepReader.report();
-  EXPECT_LT(DeepReport.ProbeGpuUs, DeepReport.ProbeCpuUs);
-  EXPECT_LT(DeepReport.ProbeWarpUs, DeepReport.ProbeGpuUs);
+  EXPECT_LT(DeepReport.ProbeWarpUs, DeepReport.ProbeCpuUs);
 }
 
 TEST_F(RestoreFixture, ProbeReportsSubBlockRatioDelta) {
@@ -306,10 +302,8 @@ TEST_F(RestoreFixture, WarpDecodeRoundTripsFramedStream) {
   const Gauge *ModeGauge = Metrics.findGauge("padre_read_decode_mode");
   ASSERT_NE(ModeGauge, nullptr);
   EXPECT_EQ(ModeGauge->value(), 2.0);
-  for (const char *Name :
-       {"padre_read_probe_us{mode=\"cpu\"}",
-        "padre_read_probe_us{mode=\"gpu\"}",
-        "padre_read_probe_us{mode=\"warp\"}"}) {
+  for (const char *Name : {"padre_read_probe_us{mode=\"cpu\"}",
+                           "padre_read_probe_us{mode=\"warp\"}"}) {
     const Gauge *Probe = Metrics.findGauge(Name);
     ASSERT_NE(Probe, nullptr) << Name;
     EXPECT_GT(Probe->value(), 0.0) << Name;
@@ -331,8 +325,7 @@ TEST_F(RestoreFixture, FramedStreamDecodesOnCpuBitExact) {
 
 TEST_F(RestoreFixture, UnframedStreamInWarpModeStaysBitExact) {
   // v1 compatibility: a store written without framing decodes under
-  // WarpGpu mode by routing around the warp kernel (lane or CPU) —
-  // never through it.
+  // WarpGpu mode through the warp kernel, one sub-block per chunk.
   write(2 << 20);
   ReadConfig Config;
   Config.Mode = DecodeMode::WarpGpu;
@@ -342,7 +335,7 @@ TEST_F(RestoreFixture, UnframedStreamInWarpModeStaysBitExact) {
   ASSERT_TRUE(Restored.has_value());
   EXPECT_EQ(*Restored, Data);
   const ReadReport Report = Reader.report();
-  EXPECT_EQ(Report.WarpBatches, 0u);
+  EXPECT_GT(Report.WarpBatches, 0u);
   EXPECT_EQ(Report.FramedChunks, 0u);
 }
 
@@ -362,14 +355,13 @@ TEST_F(RestoreFixture, WarpAndCpuDecodeSameFramedBytes) {
   EXPECT_EQ(*CpuBytes, Data);
 }
 
-TEST_F(RestoreFixture, MixedFramedUnframedBatchArbitratesPerBatch) {
-  // A store that genuinely mixes framed and unframed GPU-decodable
-  // chunks: the backend splitter's Fixed 0.5 split compresses half of
-  // every batch on the device engine (BlockMethod::GpuLane) and half
-  // on the CPU engine, which frames at SubBlocks=4
-  // (BlockMethod::LzFramed). Under WarpGpu decode the framed chunks go
-  // to the warp kernel and the unframed remainder's route is arbitrated
-  // per batch from that batch's actual composition.
+TEST_F(RestoreFixture, MixedFramedUnframedStoreDecodesOnWarp) {
+  // A store that genuinely mixes framed and unframed LZ chunks: the
+  // backend splitter's Fixed 0.5 split compresses half of every batch
+  // on the device engine (BlockMethod::GpuLane) and half on the CPU
+  // engine, which frames at SubBlocks=4 (BlockMethod::LzFramed). Under
+  // WarpGpu decode both kinds go to the warp kernel; no batch falls
+  // back to the CPU pool.
   PipelineConfig Config;
   Config.Mode = PipelineMode::CpuOnly;
   Config.Metrics = &Metrics;
@@ -391,20 +383,11 @@ TEST_F(RestoreFixture, MixedFramedUnframedBatchArbitratesPerBatch) {
 
   const ReadReport Report = Reader.report();
   EXPECT_GT(Report.FramedChunks, 0u);
+  EXPECT_LT(Report.FramedChunks, Report.SsdChunks);
   EXPECT_GT(Report.WarpBatches, 0u);
-  EXPECT_GT(Report.MixedBatches, 0u);
-  EXPECT_LE(Report.MixedToLane, Report.MixedBatches);
-  const Counter *Lane =
-      Metrics.findCounter("padre_read_mixed_batches_total{route=\"lane\"}");
-  const Counter *Cpu =
-      Metrics.findCounter("padre_read_mixed_batches_total{route=\"cpu\"}");
-  ASSERT_NE(Lane, nullptr);
-  ASSERT_NE(Cpu, nullptr);
-  EXPECT_EQ(Lane->value() + Cpu->value(), Report.MixedBatches);
-  EXPECT_EQ(Lane->value(), Report.MixedToLane);
+  EXPECT_EQ(Report.CpuBatches, 0u);
 
-  // Either arbitration outcome must stay bit-exact with a plain CPU
-  // decode of the same store.
+  // Bit-exact with a plain CPU decode of the same store.
   ReadConfig CpuRead;
   CpuRead.Mode = DecodeMode::Cpu;
   const auto CpuBytes =
@@ -489,7 +472,7 @@ TEST(RestoreObs, CpuSpansTileLaneClocks) {
 }
 
 TEST(RestoreObs, GpuSpansTileLaneClocks) {
-  expectSpansTileReport(DecodeMode::Gpu);
+  expectSpansTileReport(DecodeMode::WarpGpu);
 }
 
 //===----------------------------------------------------------------------===//

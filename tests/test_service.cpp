@@ -239,82 +239,6 @@ TEST(ServiceIsolation, CrossTenantSharingIsBitSafe) {
 }
 
 //===----------------------------------------------------------------------===//
-// Coalesced dispatch: one combined pipeline ingest per round
-//===----------------------------------------------------------------------===//
-
-// CoalesceDispatch only regroups batches — it must not change any
-// outcome: locations, recipes, mappings, tenant stats and read-back
-// all match per-run dispatch exactly, while the combined ingests fill
-// the scheduler's overlap window with fewer, deeper batches.
-TEST(ServiceCoalesce, CoalescedDispatchKeepsResultsBitIdentical) {
-  auto Run = [](bool Coalesce) {
-    ServiceConfig Config = baseService();
-    Config.CoalesceDispatch = Coalesce;
-    Config.DispatchRunBlocks = 8;
-    Config.IndexMemoryBudget = 64 * 32; // forces a deferred (raw) path
-    Config.Pipeline.PipelineDepth = 4;
-    auto Service =
-        std::make_unique<VolumeService>(Platform::paper(), Config);
-    const auto A = Service->addTenant("hot", TenantConfig{512});
-    const auto B = Service->addTenant("cold", TenantConfig{512});
-    const auto C = Service->addTenant("shared", TenantConfig{512});
-    std::uint64_t ColdTag = 100000;
-    for (std::uint64_t Round = 0; Round < 16; ++Round) {
-      const ByteVector Hot = runOf(500, 8);
-      EXPECT_TRUE(Service->submitWrite(A, (Round % 8) * 8,
-                                       ByteSpan(Hot.data(), Hot.size())));
-      const ByteVector Cold = runOf(ColdTag, 8);
-      ColdTag += 8;
-      EXPECT_TRUE(Service->submitWrite(B, (Round * 8) % 512,
-                                       ByteSpan(Cold.data(), Cold.size())));
-      const ByteVector Shared = runOf(2000 + (Round % 4) * 8, 8);
-      EXPECT_TRUE(Service->submitWrite(
-          C, (Round * 8) % 512, ByteSpan(Shared.data(), Shared.size())));
-      Service->pump();
-    }
-    Service->finish();
-    EXPECT_EQ(Service->pipeline().scheduler().inFlight(), 0u);
-    return Service;
-  };
-
-  auto Base = Run(false);
-  auto Co = Run(true);
-
-  // Functional state is bit-identical: the chunk order is preserved,
-  // so every chunk lands at the same location either way.
-  EXPECT_EQ(Co->pipeline().recipe().ChunkLocations,
-            Base->pipeline().recipe().ChunkLocations);
-  EXPECT_EQ(Co->pipeline().recipe().ChunkSizes,
-            Base->pipeline().recipe().ChunkSizes);
-  const PipelineReport BaseReport = Base->pipeline().report();
-  const PipelineReport CoReport = Co->pipeline().report();
-  EXPECT_EQ(CoReport.UniqueChunks, BaseReport.UniqueChunks);
-  EXPECT_EQ(CoReport.DupChunks, BaseReport.DupChunks);
-  EXPECT_EQ(CoReport.StoredBytes, BaseReport.StoredBytes);
-
-  for (VolumeService::TenantId T = 0; T < 3; ++T) {
-    const TenantStats BaseStats = Base->tenantStats(T);
-    const TenantStats CoStats = Co->tenantStats(T);
-    EXPECT_EQ(CoStats.AdmittedBytes, BaseStats.AdmittedBytes) << T;
-    EXPECT_EQ(CoStats.DeferredBytes, BaseStats.DeferredBytes) << T;
-    EXPECT_EQ(CoStats.RejectedBytes, BaseStats.RejectedBytes) << T;
-    EXPECT_EQ(CoStats.Resident, BaseStats.Resident) << T;
-    EXPECT_EQ(Co->tenantVolume(T).mapping(),
-              Base->tenantVolume(T).mapping())
-        << T;
-    const auto BaseRead = Base->readBlocks(T, 0, 64);
-    const auto CoRead = Co->readBlocks(T, 0, 64);
-    ASSERT_TRUE(BaseRead && CoRead) << T;
-    EXPECT_EQ(*CoRead, *BaseRead) << T;
-  }
-
-  // The point of coalescing: the same chunk stream flows through
-  // fewer, deeper batches.
-  EXPECT_LT(Co->pipeline().scheduler().batchesScheduled(),
-            Base->pipeline().scheduler().batchesScheduled());
-}
-
-//===----------------------------------------------------------------------===//
 // Prioritized cache tier and the deferred-dedup lifecycle
 //===----------------------------------------------------------------------===//
 

@@ -6,11 +6,14 @@
 /// sweep), compressFramed's history-reset invariant and measured ratio
 /// cost, the warp-cooperative decompressor's bit-exactness against the
 /// serial LzCodec::decompress oracle across sub-block counts and data
-/// shapes, and the warp cost-model helper.
+/// shapes — framed, and unframed as one sub-block per chunk for every
+/// producer of the token format — the unframed corruption sweep, and
+/// the warp cost-model helper.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "compress/ChunkCodec.h"
+#include "compress/GpuLaneCompressor.h"
 #include "compress/GpuWarpDecompressor.h"
 #include "compress/SubBlockFrame.h"
 #include "sim/CostModel.h"
@@ -47,6 +50,23 @@ ByteVector repetitiveData(std::size_t Size, std::uint64_t Seed) {
   return Data;
 }
 
+/// The four data shapes the oracle suites sweep: random, mixed and
+/// constant 4 KiB chunks, and a mixed 32 KiB one.
+ByteVector shapeData(int Shape, std::uint64_t Seed) {
+  switch (Shape) {
+  case 0:
+    return randomData(4096, Seed);
+  case 1:
+    return repetitiveData(4096, Seed + 1);
+  case 2:
+    return ByteVector(4096, 0x77);
+  default:
+    return repetitiveData(32768, Seed + 2);
+  }
+}
+
+const char *const ShapeNames[] = {"random", "mixed", "constant", "big"};
+
 /// The serial oracle: LzCodec::decompress over each sub-block, exactly
 /// what ChunkCodec's LzFramed branch runs.
 ByteVector serialOracleDecode(const ByteVector &Framed,
@@ -64,12 +84,13 @@ ByteVector serialOracleDecode(const ByteVector &Framed,
   return Out;
 }
 
-/// Warp plan + runWarps over a framed payload.
-ByteVector warpDecode(const ByteVector &Framed, std::size_t OriginalSize,
-                      bool *Ok = nullptr) {
+/// Warp plan + runWarps over a \p Method payload (framed by default).
+ByteVector warpDecode(const ByteVector &Payload, std::size_t OriginalSize,
+                      bool *Ok = nullptr,
+                      BlockMethod Method = BlockMethod::LzFramed) {
   WarpSubBlock Table[MaxSubBlocks];
   auto Plan = GpuWarpDecompressor::plan(
-      ByteSpan(Framed.data(), Framed.size()), OriginalSize,
+      Method, ByteSpan(Payload.data(), Payload.size()), OriginalSize,
       std::span<WarpSubBlock>(Table, MaxSubBlocks));
   ByteVector Out;
   if (!Plan) {
@@ -78,7 +99,7 @@ ByteVector warpDecode(const ByteVector &Framed, std::size_t OriginalSize,
     return Out;
   }
   const bool Ran = GpuWarpDecompressor::runWarps(
-      ByteSpan(Framed.data(), Framed.size()), *Plan, Out);
+      ByteSpan(Payload.data(), Payload.size()), *Plan, Out);
   if (Ok)
     *Ok = Ran;
   return Out;
@@ -189,29 +210,15 @@ class WarpOracle
 
 std::string warpOracleName(
     const ::testing::TestParamInfo<WarpOracle::ParamType> &Info) {
-  static const char *Shapes[] = {"random", "mixed", "constant", "big"};
   return "sub" + std::to_string(std::get<0>(Info.param)) + "_" +
-         Shapes[std::get<1>(Info.param)];
+         ShapeNames[std::get<1>(Info.param)];
 }
 
 } // namespace
 
 TEST_P(WarpOracle, WarpDecodeMatchesSerialOracleBitExact) {
   const auto &[SubBlocks, Shape] = GetParam();
-  ByteVector Data;
-  switch (Shape) {
-  case 0:
-    Data = randomData(4096, 21);
-    break;
-  case 1:
-    Data = repetitiveData(4096, 22);
-    break;
-  case 2:
-    Data = ByteVector(4096, 0x77);
-    break;
-  default:
-    Data = repetitiveData(32768, 23);
-  }
+  const ByteVector Data = shapeData(Shape, 21);
   const LzCodec Codec(LzCodec::MatcherKind::HashChain);
   const FramedCompressResult Framed =
       Codec.compressFramed(ByteSpan(Data.data(), Data.size()), SubBlocks);
@@ -236,6 +243,7 @@ TEST(GpuWarpDecompressor, PlanIsHeaderOnlyAndFillsTable) {
       Codec.compressFramed(ByteSpan(Data.data(), Data.size()), 8);
   WarpSubBlock Table[MaxSubBlocks];
   auto Plan = GpuWarpDecompressor::plan(
+      BlockMethod::LzFramed,
       ByteSpan(Framed.Payload.data(), Framed.Payload.size()), Data.size(),
       std::span<WarpSubBlock>(Table, MaxSubBlocks));
   ASSERT_TRUE(Plan.has_value());
@@ -268,6 +276,7 @@ TEST(GpuWarpDecompressor, UndersizedTableRejected) {
       Codec.compressFramed(ByteSpan(Data.data(), Data.size()), 8);
   WarpSubBlock Small[4];
   EXPECT_FALSE(GpuWarpDecompressor::plan(
+                   BlockMethod::LzFramed,
                    ByteSpan(Framed.Payload.data(), Framed.Payload.size()),
                    Data.size(), std::span<WarpSubBlock>(Small, 4))
                    .has_value());
@@ -305,6 +314,210 @@ TEST(GpuWarpDecompressor, CrossSubBlockDistanceRejected) {
   const ByteVector Out = warpDecode(Framed, 517, &Ok);
   EXPECT_FALSE(Ok);
   EXPECT_TRUE(Out.empty()); // no partial output on failure
+}
+
+//===----------------------------------------------------------------------===//
+// Unframed payloads: one sub-block per chunk
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The producers of unframed token streams, one per block method the
+/// warp kernel accepts without a frame.
+enum class Producer { HashChain, SingleProbe, GpuLane };
+
+/// An unframed block's method and payload.
+struct UnframedPayload {
+  BlockMethod Method = BlockMethod::Raw;
+  ByteVector Payload;
+};
+
+UnframedPayload compressUnframed(Producer Kind, const ByteVector &Data) {
+  const ByteSpan Input(Data.data(), Data.size());
+  switch (Kind) {
+  case Producer::HashChain:
+    return {BlockMethod::Lz77,
+            LzCodec(LzCodec::MatcherKind::HashChain).compress(Input).Payload};
+  case Producer::SingleProbe:
+    return {BlockMethod::QuickLz,
+            LzCodec(LzCodec::MatcherKind::SingleProbe).compress(Input).Payload};
+  case Producer::GpuLane:
+    break;
+  }
+  // The write side's lane kernel plus its CPU refinement: the
+  // production GpuLane block.
+  const GpuLaneCompressor Compressor;
+  const RefinedChunk Refined =
+      GpuLaneCompressor::refine(Compressor.runLanes(Input), Input);
+  const auto View =
+      decodeBlock(ByteSpan(Refined.Block.data(), Refined.Block.size()));
+  EXPECT_TRUE(View.has_value());
+  if (!View)
+    return {};
+  return {View->Method,
+          ByteVector(View->Payload.begin(), View->Payload.end())};
+}
+
+class UnframedWarp
+    : public ::testing::TestWithParam<std::tuple<Producer, int>> {};
+
+std::string unframedWarpName(
+    const ::testing::TestParamInfo<UnframedWarp::ParamType> &Info) {
+  static const char *Producers[] = {"lz77", "quicklz", "gpulane"};
+  return std::string(Producers[static_cast<int>(std::get<0>(Info.param))]) +
+         "_" + ShapeNames[std::get<1>(Info.param)];
+}
+
+} // namespace
+
+TEST_P(UnframedWarp, OneSubBlockMatchesLzCodecBitExact) {
+  const auto &[Kind, Shape] = GetParam();
+  const ByteVector Data = shapeData(Shape, 51);
+  const UnframedPayload Unframed = compressUnframed(Kind, Data);
+  const ByteSpan Payload(Unframed.Payload.data(), Unframed.Payload.size());
+  WarpSubBlock Table[1];
+  auto Plan = GpuWarpDecompressor::plan(
+      Unframed.Method, Payload, Data.size(),
+      std::span<WarpSubBlock>(Table, 1));
+  if (Unframed.Method == BlockMethod::Raw) {
+    // The lane refiner stores incompressible chunks raw: no token
+    // stream, so the kernel has nothing to plan.
+    EXPECT_FALSE(Plan.has_value());
+    return;
+  }
+  ASSERT_TRUE(Plan.has_value());
+  // The plan is the whole chunk, without a header or a token walk.
+  ASSERT_EQ(Plan->SubBlocks.size(), 1u);
+  const SubBlockSeg &Seg = Plan->SubBlocks[0].Seg;
+  EXPECT_EQ(Seg.PayloadOffset, 0u);
+  EXPECT_EQ(Seg.PayloadBytes, Payload.size());
+  EXPECT_EQ(Seg.OutputOffset, 0u);
+  EXPECT_EQ(Seg.OutputBytes, Data.size());
+  EXPECT_EQ(Plan->SubBlocks[0].Tokens, 0u);
+
+  ByteVector Oracle;
+  ASSERT_TRUE(LzCodec::decompress(Payload, Data.size(), Oracle));
+  ByteVector Out;
+  ASSERT_TRUE(GpuWarpDecompressor::runWarps(Payload, *Plan, Out));
+  EXPECT_EQ(Out, Oracle);
+  EXPECT_EQ(Out, Data);
+  const WarpSubBlock &Sub = Plan->SubBlocks[0];
+  EXPECT_GT(Sub.Tokens, 0u);
+  EXPECT_EQ(Sub.Stats.LiteralBytes + Sub.Stats.MatchBytes, Data.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ProducersAndShapes, UnframedWarp,
+    ::testing::Combine(::testing::Values(Producer::HashChain,
+                                         Producer::SingleProbe,
+                                         Producer::GpuLane),
+                       ::testing::Range(0, 4)),
+    unframedWarpName);
+
+TEST(GpuWarpDecompressor, MethodsWithoutTokenStreamRejected) {
+  const ByteVector Data = repetitiveData(4096, 33);
+  const ByteVector Payload =
+      LzCodec(LzCodec::MatcherKind::HashChain)
+          .compress(ByteSpan(Data.data(), Data.size()))
+          .Payload;
+  WarpSubBlock Table[MaxSubBlocks];
+  const std::span<WarpSubBlock> Span(Table, MaxSubBlocks);
+  const ByteSpan View(Payload.data(), Payload.size());
+  // Raw is a copy and LzHuff needs the serial entropy stage first.
+  EXPECT_FALSE(GpuWarpDecompressor::accepts(BlockMethod::Raw));
+  EXPECT_FALSE(GpuWarpDecompressor::accepts(BlockMethod::LzHuff));
+  EXPECT_FALSE(
+      GpuWarpDecompressor::plan(BlockMethod::Raw, View, Data.size(), Span)
+          .has_value());
+  EXPECT_FALSE(
+      GpuWarpDecompressor::plan(BlockMethod::LzHuff, View, Data.size(), Span)
+          .has_value());
+  // An unframed stream read as framed fails the header parse.
+  EXPECT_FALSE(GpuWarpDecompressor::plan(BlockMethod::LzFramed, View,
+                                         Data.size(), Span)
+                   .has_value());
+  // The format's size bound holds for unframed chunks too, and a plan
+  // needs somewhere to go.
+  EXPECT_FALSE(GpuWarpDecompressor::plan(BlockMethod::Lz77, View,
+                                         LzCodec::MaxInputSize + 1, Span)
+                   .has_value());
+  EXPECT_FALSE(GpuWarpDecompressor::plan(BlockMethod::Lz77, View,
+                                         Data.size(),
+                                         std::span<WarpSubBlock>())
+                   .has_value());
+}
+
+TEST(UnframedWarpCorruption, MalformedPayloadsRejected) {
+  // The unframed plan never reads the payload, so every kind of damage
+  // must fail in runWarps — typed, with no partial output — or decode
+  // to exactly OriginalSize bytes. Never a crash.
+  const ByteVector Data = repetitiveData(4096, 45);
+  const ByteVector Payload =
+      LzCodec(LzCodec::MatcherKind::HashChain)
+          .compress(ByteSpan(Data.data(), Data.size()))
+          .Payload;
+  const auto Decode = [](const ByteVector &Bytes, std::size_t OriginalSize,
+                         bool &Ok) {
+    return warpDecode(Bytes, OriginalSize, &Ok, BlockMethod::Lz77);
+  };
+  bool Ok = false;
+  ASSERT_EQ(Decode(Payload, Data.size(), Ok), Data);
+  ASSERT_TRUE(Ok);
+
+  // Truncation: every strict prefix ends short of OriginalSize.
+  for (std::size_t Keep = 0; Keep < Payload.size(); ++Keep) {
+    const ByteVector Cut(Payload.begin(), Payload.begin() + Keep);
+    const ByteVector Out = Decode(Cut, Data.size(), Ok);
+    EXPECT_FALSE(Ok) << "kept " << Keep;
+    EXPECT_TRUE(Out.empty()) << "kept " << Keep;
+  }
+  // Wrong original size: the stream does not produce it.
+  for (const std::size_t Size : {Data.size() - 1, Data.size() + 1}) {
+    EXPECT_TRUE(Decode(Payload, Size, Ok).empty());
+    EXPECT_FALSE(Ok) << "size " << Size;
+  }
+  // A zero back-distance is never valid.
+  ByteVector Bad = Payload;
+  for (std::size_t I = 0; I + 2 < Bad.size(); ++I) {
+    if ((Bad[I] & 0x80) != 0) { // first match token
+      Bad[I + 1] = 0;
+      Bad[I + 2] = 0;
+      break;
+    }
+    I += (Bad[I] & 0x7F) + 1; // skip literal run body
+  }
+  ASSERT_NE(Bad, Payload);
+  EXPECT_TRUE(Decode(Bad, Data.size(), Ok).empty());
+  EXPECT_FALSE(Ok);
+  // Bit flips: fail with no output, or decode to full size.
+  for (std::size_t I = 0; I < Payload.size(); ++I) {
+    Bad = Payload;
+    Bad[I] ^= 0x55;
+    const ByteVector Out = Decode(Bad, Data.size(), Ok);
+    if (Ok)
+      EXPECT_EQ(Out.size(), Data.size()) << "byte " << I;
+    else
+      EXPECT_TRUE(Out.empty()) << "byte " << I;
+  }
+  // Garbage of assorted sizes against assorted claimed sizes.
+  Random Rng(46);
+  for (int Trial = 0; Trial < 200; ++Trial) {
+    ByteVector Garbage(Rng.nextBelow(512));
+    Rng.fillBytes(Garbage.data(), Garbage.size());
+    const std::size_t Claimed = Rng.nextBelow(8192);
+    const ByteVector Out = Decode(Garbage, Claimed, Ok);
+    EXPECT_EQ(Out.size(), Ok ? Claimed : 0u) << "trial " << Trial;
+  }
+  // runWarps cross-checks the plan against the payload it gets.
+  WarpSubBlock Table[1];
+  auto Plan = GpuWarpDecompressor::plan(
+      BlockMethod::Lz77, ByteSpan(Payload.data(), Payload.size()),
+      Data.size(), std::span<WarpSubBlock>(Table, 1));
+  ASSERT_TRUE(Plan.has_value());
+  ByteVector Out;
+  EXPECT_FALSE(GpuWarpDecompressor::runWarps(
+      ByteSpan(Payload.data(), Payload.size() - 1), *Plan, Out));
+  EXPECT_TRUE(Out.empty());
 }
 
 //===----------------------------------------------------------------------===//
@@ -354,10 +567,9 @@ TEST(SubBlockFrameCorruption, HeaderFieldSweep) {
     // decoders themselves.
     ByteVector Out;
     WarpSubBlock Table[MaxSubBlocks];
-    auto Plan = GpuWarpDecompressor::plan(ByteSpan(Bad.data(), Bad.size()),
-                                          Data.size(),
-                                          std::span<WarpSubBlock>(
-                                              Table, MaxSubBlocks));
+    auto Plan = GpuWarpDecompressor::plan(
+        BlockMethod::LzFramed, ByteSpan(Bad.data(), Bad.size()),
+        Data.size(), std::span<WarpSubBlock>(Table, MaxSubBlocks));
     if (!Plan)
       continue;
     if (GpuWarpDecompressor::runWarps(ByteSpan(Bad.data(), Bad.size()),
@@ -434,14 +646,9 @@ TEST(WarpCostModel, SubBlockCostIsMonotonic) {
   EXPECT_GT(Model.gpuWarpSubBlockUs(64, 4096, 16, 32), Base);
 }
 
-TEST(WarpCostModel, WarpDivergenceIsCheaperThanLockstep) {
-  // The design claim the constants encode: a token-kind switch costs a
-  // warp less than a lockstep wavefront (divergence is contained to
-  // one warp, CODAG §reader/decoder split).
+TEST(WarpCostModel, DoorbellIsFarBelowLaunch) {
+  // The doorbell is far below a full launch — the persistent kernel's
+  // whole reason to exist.
   const CostModel Model;
-  EXPECT_LT(Model.Gpu.WarpDivergencePerTokenNs,
-            Model.Gpu.DecDivergencePerTokenNs);
-  // And the doorbell is far below a full launch — the persistent
-  // kernel's whole reason to exist.
   EXPECT_LT(Model.Gpu.WarpDoorbellUs * 10.0, Model.Gpu.LaunchUs);
 }

@@ -132,7 +132,7 @@ void usage() {
       "fixed|rabin|fastcdc\n"
       "  --threads N  --image PATH  --trace FILE  --trace-ops N\n"
       "  --trace-out FILE.json  --metrics-out FILE.prom\n"
-      "  --read-batch N  --read-mode cpu|gpu|warp|auto  --readahead N\n"
+      "  --read-batch N  --read-mode cpu|warp|auto  --readahead N\n"
       "  --sub-blocks N       framed sub-blocks per chunk (warp decode)\n"
       "  --backends cpu,gpu,gpu2   multi-backend splitter (gpu2 = two\n"
       "      modelled GPUs)  --split auto|cpu|gpu  --tuner-window N\n"
@@ -323,8 +323,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     } else if (Arg == "--read-mode" && NextValue(Value)) {
       if (Value == "cpu")
         Opts.ReadMode = restore::DecodeMode::Cpu;
-      else if (Value == "gpu")
-        Opts.ReadMode = restore::DecodeMode::Gpu;
       else if (Value == "warp")
         Opts.ReadMode = restore::DecodeMode::WarpGpu;
       else if (Value == "auto")
@@ -1207,13 +1205,13 @@ int commandTrace(const Options &OptsIn) {
   // the reads.
   const restore::ReadReport ReadStats = Reader.pipeline().report();
   std::printf("restore reads: mode %s, %llu chunks, cache hits %.0f%%, "
-              "coalesced runs %llu, decode batches cpu=%llu gpu=%llu\n",
+              "coalesced runs %llu, decode batches cpu=%llu warp=%llu\n",
               restore::decodeModeName(Reader.pipeline().effectiveMode()),
               static_cast<unsigned long long>(ReadStats.ChunksRequested),
               ReadStats.cacheHitRate() * 100.0,
               static_cast<unsigned long long>(ReadStats.CoalescedRuns),
               static_cast<unsigned long long>(ReadStats.CpuBatches),
-              static_cast<unsigned long long>(ReadStats.GpuBatches));
+              static_cast<unsigned long long>(ReadStats.WarpBatches));
   Faults.summary();
   if (!Obs.write(Opts))
     return 1;
