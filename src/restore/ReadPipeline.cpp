@@ -477,48 +477,6 @@ void ReadPipeline::decodeCpu(const std::vector<BatchItem *> &Items) {
       });
 }
 
-void ReadPipeline::closeDeviceSubBatch(const std::vector<BatchItem *> &Items,
-                                       std::size_t Begin, std::size_t End,
-                                       const fault::Status &DeviceOk,
-                                       double KernelUs, std::size_t InBytes,
-                                       std::size_t OutBytes) {
-  if (!DeviceOk.ok()) {
-    // Degraded mode: re-decode the sub-batch's planned chunks on the
-    // CPU path. Whatever the device produced (including DMA-corrupt
-    // output) is discarded — the CPU decode is authoritative, so the
-    // delivered bytes are bit-exact either way; only the modelled cost
-    // differs.
-    ++GpuDecodeFallbacks;
-    if (GpuFallbackTotal)
-      GpuFallbackTotal->add(1);
-    std::vector<BatchItem *> Retry;
-    Retry.reserve(End - Begin);
-    for (std::size_t I = Begin; I < End; ++I) {
-      BatchItem &Item = *Items[I];
-      if (!Item.WarpPlan)
-        continue;
-      Item.Failed = false;
-      Item.Error = fault::ErrorCode::Ok;
-      Item.Decoded.clear();
-      Retry.push_back(&Item);
-    }
-    if (!Retry.empty())
-      decodeCpu(Retry);
-    return;
-  }
-
-  // Every chunk in the sub-batch waits for the whole round trip —
-  // the same latency semantics as the write side's GPU batches.
-  const double Penalty =
-      Device->mixedMode() ? Model.Gpu.MixedKernelPenalty : 1.0;
-  const double RoundTripUs = Model.pcieTransferUs(InBytes) +
-                             KernelUs * Penalty +
-                             Model.pcieTransferUs(OutBytes);
-  for (std::size_t I = Begin; I < End; ++I)
-    if (Items[I]->WarpPlan)
-      Items[I]->DecodeUs += RoundTripUs;
-}
-
 void ReadPipeline::decodeWarp(const std::vector<BatchItem *> &Items) {
   assert(Device && "Warp decode without device");
   const std::size_t SubBatch = Model.Gpu.DecompressBatchChunks;
@@ -601,12 +559,45 @@ void ReadPipeline::decodeWarp(const std::vector<BatchItem *> &Items) {
     if (DeviceOk.ok())
       DeviceOk = Device->transferFromDevice(OutBytes);
 
-    // On a fault the body's functional results stand in for data the
-    // fault made untrustworthy, so they are re-decoded on the CPU.
-    closeDeviceSubBatch(Items, Begin, End, DeviceOk, FixedUs + ExecMicros,
-                        InBytes, OutBytes);
     // A fault evicts the kernel: the next warp sub-batch relaunches.
     WarpKernelResident = DeviceOk.ok();
+    if (!DeviceOk.ok()) {
+      // Degraded mode: re-decode the sub-batch's planned chunks on the
+      // CPU path. The body's functional results stand in for data the
+      // fault made untrustworthy (including DMA-corrupt output), so
+      // they are discarded: the CPU decode is authoritative and the
+      // delivered bytes are bit-exact either way; only the modelled
+      // cost differs.
+      ++GpuDecodeFallbacks;
+      if (GpuFallbackTotal)
+        GpuFallbackTotal->add(1);
+      std::vector<BatchItem *> Retry;
+      Retry.reserve(Planned);
+      for (std::size_t I = Begin; I < End; ++I) {
+        BatchItem &Item = *Items[I];
+        if (!Item.WarpPlan)
+          continue;
+        Item.Failed = false;
+        Item.Error = fault::ErrorCode::Ok;
+        Item.Decoded.clear();
+        Retry.push_back(&Item);
+      }
+      decodeCpu(Retry);
+      continue;
+    }
+
+    // Every chunk in the sub-batch waits for the whole round trip —
+    // PCIe in, the kernel (launch or doorbell plus execution) under
+    // the mixed-mode penalty, PCIe out — the same latency semantics as
+    // the write side's GPU batches.
+    const double Penalty =
+        Device->mixedMode() ? Model.Gpu.MixedKernelPenalty : 1.0;
+    const double RoundTripUs = Model.pcieTransferUs(InBytes) +
+                               (FixedUs + ExecMicros) * Penalty +
+                               Model.pcieTransferUs(OutBytes);
+    for (std::size_t I = Begin; I < End; ++I)
+      if (Items[I]->WarpPlan)
+        Items[I]->DecodeUs += RoundTripUs;
   }
 }
 

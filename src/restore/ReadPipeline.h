@@ -158,16 +158,9 @@ private:
                     std::vector<ByteVector> &Out,
                     std::vector<ReadFailure> *Failures);
   void decodeCpu(const std::vector<BatchItem *> &Items);
+  /// Warp-kernel decode in DecompressBatchChunks sub-batches; a device
+  /// fault re-decodes the sub-batch on the CPU pool.
   void decodeWarp(const std::vector<BatchItem *> &Items);
-  /// Closes warp sub-batch Items[Begin, End). On a device fault
-  /// (\p DeviceOk) the planned chunks re-decode on the CPU pool;
-  /// otherwise each waits for the whole round trip: PCIe in,
-  /// \p KernelUs (launch or doorbell plus execution) under the
-  /// mixed-mode penalty, PCIe out.
-  void closeDeviceSubBatch(const std::vector<BatchItem *> &Items,
-                           std::size_t Begin, std::size_t End,
-                           const fault::Status &DeviceOk, double KernelUs,
-                           std::size_t InBytes, std::size_t OutBytes);
   void noteFailure(std::uint64_t Location);
   /// The Auto probe: modelled decode makespans of a synthetic batch at
   /// BatchDepth on the CPU pool and on the warp kernel over the framed
